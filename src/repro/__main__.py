@@ -52,6 +52,9 @@ from __future__ import annotations
 import sys
 
 import repro
+from repro.cli_options import (add_exec_arguments, add_telemetry_arguments,
+                               export_telemetry, make_progress,
+                               telemetry_wanted)
 
 
 def info() -> int:
@@ -146,87 +149,6 @@ def selftest() -> int:
     return 0 if status == "PASS" else 1
 
 
-def _add_exec_arguments(parser) -> None:
-    """The execution-engine flags shared by `campaign` and `verify`."""
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1: in-process; "
-                             "any N yields the identical report digest)")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        help="JSONL journal recording per-chunk results")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip chunks already journaled as done in "
-                             "--checkpoint; re-run in-flight/failed ones")
-    parser.add_argument("--progress", action="store_true",
-                        help="live chunk/rate/ETA lines on stderr "
-                             "(stdout stays byte-identical)")
-
-
-def _add_cache_arguments(parser) -> None:
-    """The analysis memo-cache flags shared by `verify` and `fuzz`."""
-    parser.add_argument("--analysis-cache",
-                        choices=("off", "memory", "disk"), default="off",
-                        dest="analysis_cache",
-                        help="memoize per-layer analysis results keyed "
-                             "by content digest (default off; results "
-                             "and digests are identical either way)")
-    parser.add_argument("--analysis-cache-dir", metavar="DIR",
-                        dest="analysis_cache_dir",
-                        help="directory for the disk cache tier "
-                             "(required with --analysis-cache=disk; "
-                             "shared across --jobs workers and "
-                             "--resume restarts)")
-    parser.add_argument("--analysis-cache-capacity", type=int,
-                        default=4096, metavar="N",
-                        dest="analysis_cache_capacity",
-                        help="in-memory LRU entries per process "
-                             "(default 4096)")
-
-
-def _cache_config(options, parser):
-    """A CacheConfig from the cache flags (None when off)."""
-    if options.analysis_cache == "off":
-        return None
-    if options.analysis_cache == "disk" and not options.analysis_cache_dir:
-        parser.error("--analysis-cache=disk requires "
-                     "--analysis-cache-dir")
-    if options.analysis_cache_capacity < 1:
-        parser.error("--analysis-cache-capacity must be >= 1")
-    from repro.perf import CacheConfig
-
-    return CacheConfig.from_mode(options.analysis_cache,
-                                 options.analysis_cache_dir,
-                                 options.analysis_cache_capacity)
-
-
-def _print_cache_stats(cache, jobs: int) -> None:
-    """One summary line for an enabled cache.  With jobs>1 the memo
-    lives in worker processes, so only the mode is reportable here."""
-    if cache is None:
-        return
-    from repro import perf
-
-    mode = "disk" if cache.disk_dir else "memory"
-    stats = perf.stats() if jobs == 1 else None
-    if stats is None:
-        print(f"analysis cache: {mode} (per-worker; stats stay in the "
-              f"worker processes)")
-    else:
-        print(f"analysis cache: {mode} entries={stats['entries']} "
-              f"hits={stats['hits']} misses={stats['misses']} "
-              f"evictions={stats['evictions']} "
-              f"disk_hits={stats['disk_hits']}")
-
-
-def _make_progress(options, total_chunks: int, total_items: int):
-    """A live ProgressMeter when --progress was given, else None."""
-    if not options.progress:
-        return None
-    from repro.exec import ProgressMeter
-
-    return ProgressMeter(total_chunks, total_items,
-                         emit=lambda line: print(line, file=sys.stderr))
-
-
 def _add_model_argument(parser) -> None:
     """The model-input flag shared by `verify`, `resilience`, `fuzz`."""
     parser.add_argument("--model", action="append", default=[],
@@ -300,37 +222,6 @@ def _emit_daq(options, pairs, sample_count: int,
     print(f"wrote {options.mtf_out} ({sample_count} samples)")
 
 
-def _add_telemetry_arguments(parser) -> None:
-    """The telemetry export flags shared by `campaign` and `verify`."""
-    parser.add_argument("--metrics", metavar="PATH",
-                        help="write merged metrics as Prometheus text")
-    parser.add_argument("--trace-out", metavar="PATH", dest="trace_out",
-                        help="write spans + DLT events as Chrome "
-                             "trace-event JSON (chrome://tracing, "
-                             "Perfetto)")
-    parser.add_argument("--events", metavar="PATH",
-                        help="write the full telemetry as a JSONL "
-                             "event log")
-
-
-def _telemetry_wanted(options) -> bool:
-    return bool(options.metrics or options.trace_out or options.events)
-
-
-def _export_telemetry(options) -> None:
-    """Write the requested export files and print the telemetry digest
-    (deterministic: identical for any --jobs level)."""
-    from repro import obs
-
-    if options.metrics:
-        obs.write_prometheus(options.metrics)
-    if options.trace_out:
-        obs.write_chrome_trace(options.trace_out)
-    if options.events:
-        obs.write_events_jsonl(options.events)
-    print(f"telemetry digest: sha256:{obs.digest()}")
-
-
 def campaign(args: list[str]) -> int:
     """Run the reference fault campaign (the `campaign` subcommand)."""
     import argparse
@@ -345,8 +236,8 @@ def campaign(args: list[str]) -> int:
         description="reference fault-injection campaign")
     parser.add_argument("--smoke", action="store_true",
                         help="run a single corruption cell (CI gate)")
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
+    add_exec_arguments(parser)
+    add_telemetry_arguments(parser)
     _add_daq_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
@@ -356,7 +247,7 @@ def campaign(args: list[str]) -> int:
     cells = reference_cells()
     if options.smoke:
         cells = cells[:1]  # one corruption cell: fast CI regression gate
-    telemetry = _telemetry_wanted(options)
+    telemetry = telemetry_wanted(options)
     if telemetry:
         obs.reset()
         obs.enable()
@@ -364,7 +255,7 @@ def campaign(args: list[str]) -> int:
         report = run_campaign(
             ReferenceWorld, cells, horizon=ms(300), jobs=options.jobs,
             checkpoint=options.checkpoint, resume=options.resume,
-            progress=_make_progress(options, len(cells), len(cells)),
+            progress=make_progress(options, len(cells), len(cells)),
             daq_period=daq_period)
     finally:
         if telemetry:
@@ -384,7 +275,7 @@ def campaign(args: list[str]) -> int:
                    for result in report.results],
                   report.daq_sample_count, report.measurement_digest())
     if telemetry:
-        _export_telemetry(options)
+        export_telemetry(options)
     corrupted = sum(r.extra.get("undetected_corrupted", 0)
                     for r in report.results)
     healthy = (report.detection_rate == 1.0
@@ -413,18 +304,16 @@ def verify(args: list[str]) -> int:
     parser.add_argument("--systems", type=int, default=25)
     parser.add_argument("--size", choices=sorted(SIZES), default="small")
     _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_cache_arguments(parser)
-    _add_telemetry_arguments(parser)
+    add_exec_arguments(parser)
+    add_telemetry_arguments(parser)
     _add_daq_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
-    cache = _cache_config(options, parser)
     models = _load_models(options, parser)
     daq_period = _daq_period(options, parser)
     count = len(models) if models else options.systems
-    telemetry = _telemetry_wanted(options)
+    telemetry = telemetry_wanted(options)
     if telemetry:
         obs.reset()
         obs.enable()
@@ -435,27 +324,26 @@ def verify(args: list[str]) -> int:
             report = verify_models(
                 models, jobs=options.jobs,
                 checkpoint=options.checkpoint, resume=options.resume,
-                progress=_make_progress(options, count, count),
-                cache=cache, daq_period=daq_period)
+                progress=make_progress(options, count, count),
+                daq_period=daq_period)
         else:
             report = verify_many(
                 options.seed, options.systems, options.size,
                 jobs=options.jobs, checkpoint=options.checkpoint,
                 resume=options.resume,
-                progress=_make_progress(options, count, count),
-                cache=cache, daq_period=daq_period)
+                progress=make_progress(options, count, count),
+                daq_period=daq_period)
     finally:
         if telemetry:
             obs.disable()
     print(format_report(report))
-    _print_cache_stats(cache, options.jobs)
     if options.daq:
         _emit_daq(options,
                   [(verdict.name, verdict.daq_rows)
                    for verdict in report.verdicts],
                   report.daq_sample_count, report.measurement_digest())
     if telemetry:
-        _export_telemetry(options)
+        export_telemetry(options)
     return 0 if report.passed else 1
 
 
@@ -501,16 +389,14 @@ def fuzz_command(args: list[str]) -> int:
                         help="persist minimized counterexamples as JSON "
                              "under DIR (e.g. tests/corpus)")
     _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_cache_arguments(parser)
-    _add_telemetry_arguments(parser)
+    add_exec_arguments(parser)
+    add_telemetry_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
-    cache = _cache_config(options, parser)
     models = _load_models(options, parser)
     seeds = None if models is None else [m.build() for m in models]
-    telemetry = _telemetry_wanted(options)
+    telemetry = telemetry_wanted(options)
     if telemetry:
         obs.reset()
         obs.enable()
@@ -521,19 +407,18 @@ def fuzz_command(args: list[str]) -> int:
             resume=options.resume, seed_batch=options.seed_batch,
             max_seconds=options.max_seconds,
             until_dry=options.until_dry,
-            progress=_make_progress(options, options.budget,
+            progress=make_progress(options, options.budget,
                                     options.budget),
-            cache=cache, seeds=seeds)
+            seeds=seeds)
     finally:
         if telemetry:
             obs.disable()
     print(format_fuzz_report(report))
-    _print_cache_stats(cache, options.jobs)
     if options.corpus_dir and report.findings:
         for path in write_corpus(report, options.corpus_dir):
             print(f"  wrote {path}")
     if telemetry:
-        _export_telemetry(options)
+        export_telemetry(options)
     return 0 if not report.unshrunk else 1
 
 
@@ -559,14 +444,14 @@ def resilience(args: list[str]) -> int:
     parser.add_argument("--systems", type=int, default=3)
     parser.add_argument("--size", choices=sorted(SIZES), default="small")
     _add_model_argument(parser)
-    _add_exec_arguments(parser)
-    _add_telemetry_arguments(parser)
+    add_exec_arguments(parser)
+    add_telemetry_arguments(parser)
     options = parser.parse_args(args)
     if options.resume and not options.checkpoint:
         parser.error("--resume requires --checkpoint")
     models = _load_models(options, parser)
     count = len(models) if models else options.systems
-    telemetry = _telemetry_wanted(options)
+    telemetry = telemetry_wanted(options)
     if telemetry:
         obs.reset()
         obs.enable()
@@ -577,19 +462,19 @@ def resilience(args: list[str]) -> int:
             report = resilience_models(
                 models, jobs=options.jobs,
                 checkpoint=options.checkpoint, resume=options.resume,
-                progress=_make_progress(options, count, count))
+                progress=make_progress(options, count, count))
         else:
             report = run_resilience(
                 options.seed, options.systems, options.size,
                 jobs=options.jobs, checkpoint=options.checkpoint,
                 resume=options.resume,
-                progress=_make_progress(options, count, count))
+                progress=make_progress(options, count, count))
     finally:
         if telemetry:
             obs.disable()
     print(format_resilience_report(report))
     if telemetry:
-        _export_telemetry(options)
+        export_telemetry(options)
     return 0 if report.passed else 1
 
 

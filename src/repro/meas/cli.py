@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli_options import add_exec_arguments, make_progress
 from repro.errors import ConfigurationError, ReproError
 from repro.meas.batch import measure_models
 from repro.meas.mtf import MtfReader, MtfWriter, is_mtf_file, summarize_mtf
@@ -68,12 +69,7 @@ def _daq(options) -> int:
     period = us(options.period_us) if options.period_us else \
         DEFAULT_DAQ_PERIOD
     horizon = ms(options.horizon_ms) if options.horizon_ms else None
-    progress = None
-    if options.progress:
-        from repro.exec import ProgressMeter
-        progress = ProgressMeter(
-            len(models), len(models),
-            emit=lambda line: print(line, file=sys.stderr))
+    progress = make_progress(options, len(models), len(models))
     try:
         report = measure_models(models, period=period, horizon=horizon,
                                 jobs=options.jobs,
@@ -142,10 +138,7 @@ def meas_command(args: list[str]) -> int:
     sub.add_argument("--horizon-ms", type=int, default=0,
                      help="simulation horizon in ms (default: per "
                           "system, 4x its longest period)")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--checkpoint", metavar="PATH")
-    sub.add_argument("--resume", action="store_true")
-    sub.add_argument("--progress", action="store_true")
+    add_exec_arguments(sub)
     sub.add_argument("--mtf-out", metavar="PATH",
                      help="also write every sample to this MTF store")
 

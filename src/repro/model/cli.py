@@ -35,6 +35,8 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.cli_options import (add_telemetry_arguments, export_telemetry,
+                               telemetry_wanted)
 from repro.errors import ConfigurationError
 from repro.model.build import (Model, load_document, resilience_models,
                                verify_models)
@@ -155,17 +157,15 @@ def _scenarios_validate() -> int:
     return status
 
 
-def _scenarios_run(names: list[str], jobs: int,
-                   options=None) -> int:
-    names = names or scenario_names()
+def _scenarios_run(options) -> int:
+    names = options.names or scenario_names()
     try:
         models = [Model.from_document(load_document(scenario_path(name)))
                   for name in names]
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNREADABLE
-    telemetry = options is not None and bool(
-        options.metrics or options.trace_out or options.events)
+    telemetry = telemetry_wanted(options)
     if telemetry:
         from repro import obs
 
@@ -175,8 +175,8 @@ def _scenarios_run(names: list[str], jobs: int,
     width = max(len(name) for name in names)
     try:
         for name, model in zip(names, models):
-            verification = verify_models([model], jobs=jobs)
-            resilience = resilience_models([model], jobs=jobs)
+            verification = verify_models([model], jobs=options.jobs)
+            resilience = resilience_models([model], jobs=options.jobs)
             passed = verification.passed and resilience.passed
             checks = sum(len(v.checks) for v in verification.verdicts)
             scenarios = sum(len(row["verdicts"])
@@ -195,13 +195,7 @@ def _scenarios_run(names: list[str], jobs: int,
     print(f"scenario matrix: {'PASS' if status == EXIT_OK else 'FAIL'} "
           f"({len(names)} scenario(s))")
     if telemetry:
-        if options.metrics:
-            obs.write_prometheus(options.metrics)
-        if options.trace_out:
-            obs.write_chrome_trace(options.trace_out)
-        if options.events:
-            obs.write_events_jsonl(options.events)
-        print(f"telemetry digest: sha256:{obs.digest()}")
+        export_telemetry(options)
     return status
 
 
@@ -285,14 +279,7 @@ def model_command(args: list[str]) -> int:
     sub.add_argument("names", nargs="*", metavar="NAME",
                      help="scenario names (default: all)")
     sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--metrics", metavar="PATH",
-                     help="write merged metrics as Prometheus text")
-    sub.add_argument("--trace-out", metavar="PATH", dest="trace_out",
-                     help="write spans + DLT events as Chrome "
-                          "trace-event JSON")
-    sub.add_argument("--events", metavar="PATH",
-                     help="write the full telemetry as a JSONL event "
-                          "log")
+    add_telemetry_arguments(sub)
 
     options = parser.parse_args(args)
     if options.command == "validate":
@@ -310,4 +297,4 @@ def model_command(args: list[str]) -> int:
         return _scenarios_list()
     if options.action == "validate":
         return _scenarios_validate()
-    return _scenarios_run(options.names, options.jobs, options)
+    return _scenarios_run(options)

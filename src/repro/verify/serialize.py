@@ -34,21 +34,6 @@ from repro.verify.generator import CriticalSection, GeneratedSystem
 #: loader still reads format-1 files as fault-free systems.
 FORMAT = 2
 
-#: Pre-``repro.model`` private converter names, kept importable (as
-#: ``serialize._task_to_dict`` etc.) for corpus tooling written
-#: against them; resolved lazily via module ``__getattr__``.
-_FORWARDED = ("task", "signal", "ipdu", "frame_spec", "can", "flexray",
-              "chain", "tdma", "fault")
-
-
-def __getattr__(name: str):
-    for piece in _FORWARDED:
-        for direction in ("to", "from"):
-            if name == f"_{piece}_{direction}_dict":
-                from repro.model import convert
-                return getattr(convert, f"{piece}_{direction}_dict")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def system_to_dict(system: GeneratedSystem) -> dict:
     """One JSON-able dict capturing the complete generated system."""

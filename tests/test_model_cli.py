@@ -169,6 +169,30 @@ def test_scenarios_run_without_telemetry_prints_no_digest(capsys):
     assert "telemetry digest" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("module, entry, handler, argv, expected", [
+    ("repro.meas.cli", "meas_command", "_daq", ["daq", "adas-fusion"],
+     {"command": "daq", "refs": ["adas-fusion"], "period_us": 0,
+      "horizon_ms": 0, "jobs": 1, "checkpoint": None, "resume": False,
+      "progress": False, "mtf_out": None}),
+    ("repro.model.cli", "model_command", "_scenarios_run",
+     ["scenarios", "run"],
+     {"command": "scenarios", "action": "run", "names": [], "jobs": 1,
+      "metrics": None, "trace_out": None, "events": None}),
+], ids=["meas-daq", "model-scenarios-run"])
+def test_subcommand_option_set_is_pinned(monkeypatch, module, entry,
+                                         handler, argv, expected):
+    """Every option dest and default of the subcommands built from the
+    shared option helpers: the helpers add and drop nothing."""
+    import importlib
+
+    cli = importlib.import_module(module)
+    seen = []
+    monkeypatch.setattr(cli, handler,
+                        lambda *args: seen.append(args[-1]) or EXIT_OK)
+    assert getattr(cli, entry)(argv) == EXIT_OK
+    assert vars(seen[0]) == expected
+
+
 def test_model_from_ref_rejects_unreadable():
     from repro.errors import ConfigurationError
     with pytest.raises(ConfigurationError):

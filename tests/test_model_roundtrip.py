@@ -6,9 +6,8 @@ split, TDMA as an ECU entry) but must lose nothing: replaying every
 persisted corpus seed through ``legacy -> model -> legacy`` has to
 reproduce the original system dict byte-for-byte, and
 ``model -> system -> model`` has to reproduce the identical model
-digest.  These are the properties that let the fuzzer's corpus, the
-perf cache keys (``KEY_FORMAT`` payloads) and the new scenario
-library all speak through one converter layer without drift.
+digest.  These are the properties that let the fuzzer's corpus and the
+scenario library speak through one converter layer without drift.
 """
 
 import glob
