@@ -32,7 +32,7 @@ from repro.meas.batch import measure_models
 from repro.meas.mtf import MtfReader, MtfWriter
 from repro.meas.registry import build_registry
 from repro.meas.service import MeasurementService
-from repro.sim.trace import Record, jsonl_spill
+from repro.sim.trace import Record
 from repro.units import ms, us
 from repro.verify.generator import generate, generate_many
 from repro.verify.oracle import build_system
@@ -43,6 +43,19 @@ DETACHED_OVERHEAD_CEIL = 1.05
 REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_e19_meas.json")
+
+
+def jsonl_spill(path: str):
+    """The JSONL baseline: a spill callable that appends each evicted
+    batch to ``path`` as JSON lines (one record per line, sorted keys)."""
+    def spill(records: list[Record]) -> None:
+        with open(path, "a", encoding="utf-8") as handle:
+            for rec in records:
+                handle.write(json.dumps(
+                    {"time": rec.time, "category": rec.category,
+                     "subject": rec.subject, "data": rec.data},
+                    sort_keys=True) + "\n")
+    return spill
 
 
 # ----------------------------------------------------------------------

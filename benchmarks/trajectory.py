@@ -1,7 +1,7 @@
 """Aggregate every ``BENCH_*.json`` trajectory into one machine-readable
 file.
 
-Each gated benchmark (E17, E19, ...) persists its raw numbers to a
+Each gated benchmark (E19, ...) persists its raw numbers to a
 ``BENCH_<name>.json`` at the repo root.  Those files are written by
 different benchmarks at different times with different shapes; anything
 tracking the performance trajectory across PRs (plots, regression
@@ -12,7 +12,7 @@ aggregator normalises them into ``BENCH_trajectory.json``:
   name, carrying the source file's SHA-256 (the sync anchor — the same
   pattern ``repro model testgen`` uses for generated tests);
 * every **numeric leaf** flattened to a dotted path
-  (``oracle.warm_speedup``, ``spill.mtf_events_per_s``), so a plotter
+  (``spill.speedup``, ``spill.mtf_events_per_s``), so a plotter
   reads one flat namespace without knowing any benchmark's layout;
 * the ``gates`` block copied verbatim — floors and verdicts stay
   machine-checkable;

@@ -333,16 +333,12 @@ def run_cell(factory: Callable[..., CampaignWorld], cell: CampaignCell,
     return result
 
 
-def _cell_worker(factory, horizon: int, cell: CampaignCell,
-                 seed: int) -> CellResult:
-    """Plan worker (module-level, hence picklable): one cell per call."""
-    return run_cell(factory, cell, horizon, seed)
-
-
-def _daq_cell_worker(factory, horizon: int, daq_period: int,
-                     cell: CampaignCell, seed: int) -> CellResult:
-    """Plan worker for ``--daq`` campaigns (separate label, so plain
-    and DAQ checkpoint journals never mix result shapes)."""
+def _cell_worker(factory, horizon: int, cell: CampaignCell, seed: int,
+                 daq_period: Optional[int] = None) -> CellResult:
+    """Plan worker (module-level, hence picklable): one cell per call,
+    plus DAQ sampling when ``daq_period`` is set (plain and DAQ
+    campaigns differ in their plan label, so their checkpoint journals
+    never mix result shapes)."""
     return run_cell(factory, cell, horizon, seed, daq_period)
 
 
@@ -367,15 +363,13 @@ def run_campaign(factory: Callable[..., CampaignWorld],
 
     cells = tuple(cells)
     if daq_period is not None:
-        plan = Plan(f"campaign-daq:horizon={horizon}"
-                    f":period={daq_period}",
-                    functools.partial(_daq_cell_worker, factory, horizon,
-                                      daq_period),
-                    cells, base_seed=base_seed)
+        label = f"campaign-daq:horizon={horizon}:period={daq_period}"
     else:
-        plan = Plan(f"campaign:horizon={horizon}",
-                    functools.partial(_cell_worker, factory, horizon),
-                    cells, base_seed=base_seed)
+        label = f"campaign:horizon={horizon}"
+    plan = Plan(label,
+                functools.partial(_cell_worker, factory, horizon,
+                                  daq_period=daq_period),
+                cells, base_seed=base_seed)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,
                       progress=progress, interrupt_after=interrupt_after)

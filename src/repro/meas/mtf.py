@@ -1,8 +1,8 @@
 """MTF: a chunked, columnar, MDF-like mass-trace store.
 
-JSONL spill (:func:`repro.sim.trace.jsonl_spill`) writes one JSON
-object per record — simple, greppable, and far too slow and too flat
-once campaigns produce millions of records.  Real automotive
+A JSONL spill (the baseline in ``benchmarks/bench_e19_meas.py``)
+writes one JSON object per record — simple, greppable, and far too
+slow and too flat once campaigns produce millions of records.  Real automotive
 measurement tooling logs to MDF: column-oriented, chunked, indexed, so
 a reader can pull *one signal over one time range* without touching
 the rest of the file.  MTF is that idea at this library's scale:

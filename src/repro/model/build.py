@@ -241,18 +241,16 @@ def verify_models(models: Sequence[Model], jobs: int = 1,
     ``daq_period`` (ns) additionally runs the measurement service's
     default DAQ list per system (``verdict.daq_rows``)."""
     from repro.exec import Plan, execute
-    from repro.verify.oracle import (VerificationReport,
-                                     _daq_system_worker, _system_worker)
+    from repro.verify.oracle import VerificationReport, _system_worker
 
     systems = tuple(model.build() for model in models)
     if daq_period is not None:
         label = (f"model-verify-daq:n={len(systems)}:horizon={horizon}"
                  f":period={daq_period}")
-        worker = functools.partial(_daq_system_worker, horizon,
-                                   daq_period)
     else:
         label = f"model-verify:n={len(systems)}:horizon={horizon}"
-        worker = functools.partial(_system_worker, horizon)
+    worker = functools.partial(_system_worker, horizon,
+                               daq_period=daq_period)
     plan = Plan(label, worker, systems, base_seed=0)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,

@@ -205,7 +205,10 @@ class TtpCluster:
                 continue
             if node.guardian.permit(slot_start):
                 return node.name
-            self.trace.log(slot_start, "ttp.guardian_block", node.name)
+            # Logged when the slot is evaluated (its end), not back-dated
+            # to its start: trace records must be time-ordered.
+            self.trace.log(self.sim.now, "ttp.guardian_block", node.name,
+                           slot_start=slot_start)
         return None
 
     def _deliver_slot(self, owner: TtpNode, slot_start: int,

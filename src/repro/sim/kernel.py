@@ -1,33 +1,16 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: a queue of timestamped callbacks and a
-``now`` cursor.  All time is integer nanoseconds (:mod:`repro.units`),
-so event ordering is exact and runs are reproducible.
+The kernel is deliberately small: one binary heap of timestamped
+callbacks and a ``now`` cursor.  All time is integer nanoseconds
+(:mod:`repro.units`), so event ordering is exact and runs are
+reproducible.
 
-Ties are broken by (priority, sequence number): events scheduled at the same
-instant fire in ascending priority, then insertion order.  This makes
-simultaneous hardware events (e.g. two CAN controllers requesting the bus on
-the same bit edge) deterministic without hidden dependence on heap internals.
-
-Two queue implementations share that contract:
-
-* :class:`BucketEventQueue` (the default) — an int-heap of *distinct*
-  timestamps over per-timestamp buckets.  Simulated workloads are
-  dominated by same-instant bursts (every task release at a hyperperiod
-  boundary, every CAN controller reacting to the same bus edge), and a
-  bucket turns each burst into O(1) list appends/pops instead of
-  O(log n) heap churn per event.  A bucket stays a plain FIFO list
-  while every event in it shares one priority — the overwhelmingly
-  common case — and converts itself to a (priority, seq) heap on the
-  first mixed-priority push.
-* :class:`HeapEventQueue` — the classic single binary heap of handles,
-  kept as the executable reference: ``tests/test_kernel_queue.py``
-  pins byte-identical event order and trace digests across both.
-
-``run_until`` dispatches in timestamp batches (one ``now`` update and
-one bucket walk per distinct instant), re-checking the queue head after
-every callback so events a callback schedules *at the current instant*
-interleave by (priority, seq) exactly as the single-heap loop did.
+Heap entries are ``(time, priority, seq, handle)`` tuples: events at the
+same instant fire in ascending priority, then insertion order.  This
+makes simultaneous hardware events (e.g. two CAN controllers requesting
+the bus on the same bit edge) deterministic without hidden dependence on
+heap internals; ``seq`` is unique, so the handle itself is never
+compared.
 """
 
 from __future__ import annotations
@@ -43,7 +26,7 @@ from repro.errors import SimulationError
 class EventHandle:
     """Handle to a scheduled event, usable for cancellation.
 
-    Cancellation is lazy: the queue entry stays in place but is skipped
+    Cancellation is lazy: the heap entry stays in place but is skipped
     when popped.  This keeps ``cancel`` O(1).
     """
 
@@ -61,187 +44,9 @@ class EventHandle:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return ((self.time, self.priority, self.seq)
-                < (other.time, other.priority, other.seq))
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} prio={self.priority} {state}>"
-
-
-class HeapEventQueue:
-    """Reference queue: one binary heap ordered by (time, priority, seq).
-
-    This is the historical implementation, kept both as the equivalence
-    baseline for :class:`BucketEventQueue` and as a drop-in for
-    workloads with strictly scattered timestamps.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self):
-        self._heap: list[EventHandle] = []
-
-    def push(self, handle: EventHandle) -> None:
-        heapq.heappush(self._heap, handle)
-
-    def peek(self) -> Optional[EventHandle]:
-        """The next live event without removing it (drops cancelled
-        entries it encounters); None when the queue is empty."""
-        heap = self._heap
-        while heap:
-            if heap[0].cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0]
-        return None
-
-    def pop(self) -> Optional[EventHandle]:
-        head = self.peek()
-        if head is not None:
-            heapq.heappop(self._heap)
-        return head
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
-
-
-class _Bucket:
-    """Events of one timestamp.
-
-    Lives as a FIFO list (``items`` + ``head`` cursor) while every
-    event pushed so far shares one priority — seq order *is* priority
-    order then, and push/pop are O(1) appends and cursor bumps.  The
-    first push with a different priority converts the unconsumed tail
-    into a (priority, seq, handle) heap; ``heap is not None`` marks
-    the converted state.
-    """
-
-    __slots__ = ("items", "head", "heap")
-
-    def __init__(self, handle: EventHandle):
-        self.items: list[EventHandle] = [handle]
-        self.head = 0
-        self.heap: Optional[list] = None
-
-    def add(self, handle: EventHandle) -> None:
-        if self.heap is not None:
-            heapq.heappush(self.heap,
-                           (handle.priority, handle.seq, handle))
-        elif not self.items \
-                or handle.priority == self.items[0].priority:
-            # Uniform priority so far (items[0] is a valid witness even
-            # when already consumed — FIFO mode implies it shares the
-            # bucket's one priority): seq is monotonic, append keeps
-            # (priority, seq) order.
-            self.items.append(handle)
-        else:
-            self.heap = [(h.priority, h.seq, h)
-                         for h in self.items[self.head:]
-                         if not h.cancelled]
-            heapq.heapify(self.heap)
-            heapq.heappush(self.heap,
-                           (handle.priority, handle.seq, handle))
-            self.items = []
-            self.head = 0
-
-    def peek(self) -> Optional[EventHandle]:
-        if self.heap is not None:
-            heap = self.heap
-            while heap:
-                if heap[0][2].cancelled:
-                    heapq.heappop(heap)
-                    continue
-                return heap[0][2]
-            return None
-        items = self.items
-        head = self.head
-        while head < len(items) and items[head].cancelled:
-            head += 1
-        self.head = head
-        return items[head] if head < len(items) else None
-
-    def pop(self) -> Optional[EventHandle]:
-        handle = self.peek()
-        if handle is None:
-            return None
-        if self.heap is not None:
-            heapq.heappop(self.heap)
-        else:
-            self.head += 1
-        return handle
-
-    @property
-    def pending(self) -> int:
-        if self.heap is not None:
-            return sum(1 for entry in self.heap
-                       if not entry[2].cancelled)
-        return sum(1 for h in self.items[self.head:] if not h.cancelled)
-
-
-class BucketEventQueue:
-    """Array-backed bucket queue: an int-heap of distinct timestamps
-    plus a :class:`_Bucket` per timestamp.
-
-    Heap operations happen per *distinct timestamp*, not per event, and
-    compare plain ints instead of handle tuples; every same-instant
-    burst beyond the first event costs O(1).  ``_times`` may carry a
-    stale entry for a timestamp whose bucket drained and was recreated
-    within the same instant; :meth:`peek` discards stale entries
-    lazily, exactly like cancelled handles.
-    """
-
-    __slots__ = ("_times", "_buckets")
-
-    def __init__(self):
-        self._times: list[int] = []
-        self._buckets: dict[int, _Bucket] = {}
-
-    def push(self, handle: EventHandle) -> None:
-        bucket = self._buckets.get(handle.time)
-        if bucket is None:
-            self._buckets[handle.time] = _Bucket(handle)
-            heapq.heappush(self._times, handle.time)
-        else:
-            bucket.add(handle)
-
-    def _head(self) -> Optional[tuple[int, _Bucket, EventHandle]]:
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets.get(time)
-            head = None if bucket is None else bucket.peek()
-            if head is None:
-                if bucket is not None:
-                    del self._buckets[time]
-                heapq.heappop(self._times)
-                continue
-            return time, bucket, head
-        return None
-
-    def peek(self) -> Optional[EventHandle]:
-        entry = self._head()
-        return None if entry is None else entry[2]
-
-    def pop(self) -> Optional[EventHandle]:
-        entry = self._head()
-        if entry is None:
-            return None
-        _, bucket, handle = entry
-        bucket.pop()
-        return handle
-
-    @property
-    def pending(self) -> int:
-        return sum(bucket.pending for bucket in self._buckets.values())
-
-
-#: Queue class a :class:`Simulator` builds when none is injected.
-#: Module attribute on purpose: equivalence tests (and bisection of a
-#: suspected ordering bug) can swap in :class:`HeapEventQueue` for
-#: every simulator a harness constructs internally.
-DEFAULT_QUEUE_CLASS = BucketEventQueue
 
 
 class Simulator:
@@ -252,19 +57,14 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1000, lambda: print("fired at", sim.now))
         sim.run_until(10_000)
-
-    ``queue`` injects an event-queue instance (anything implementing
-    push/peek/pop/pending); by default a fresh
-    :data:`DEFAULT_QUEUE_CLASS` is used.
     """
 
-    def __init__(self, queue=None):
+    def __init__(self):
         self.now: int = 0
         #: total events executed (introspection / throughput metrics).
         self.executed: int = 0
-        self._queue = queue if queue is not None else DEFAULT_QUEUE_CLASS()
+        self._heap: list[tuple[int, int, int, EventHandle]] = []
         self._seq = itertools.count()
-        self._running = False
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -284,8 +84,9 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}")
-        handle = EventHandle(time, priority, next(self._seq), callback)
-        self._queue.push(handle)
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback)
+        heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -296,13 +97,16 @@ class Simulator:
 
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
         """
-        handle = self._queue.pop()
-        if handle is None:
-            return False
-        self.now = handle.time
-        self.executed += 1
-        handle.callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, _, _, handle = heapq.heappop(heap)
+            if handle.cancelled:
+                continue
+            self.now = time
+            self.executed += 1
+            handle.callback()
+            return True
+        return False
 
     def run_until(self, horizon: int) -> None:
         """Run all events with time <= ``horizon``; leave ``now`` at the
@@ -317,26 +121,24 @@ class Simulator:
         # and must not pay a per-event flag check.
         executed_before = self.executed
         batches = 0
-        queue = self._queue
-        while not self._stopped:
-            head = queue.peek()
-            if head is None or head.time > horizon:
+        batch_time = None
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and not self._stopped:
+            if heap[0][0] > horizon:
                 break
-            batch_time = head.time
-            self.now = batch_time
-            batches += 1
-            # Drain this instant as one batch.  Callbacks may schedule
-            # new events at the same instant; re-peeking after every
-            # callback keeps them interleaved by (priority, seq) with
-            # the events already waiting — identical to popping a
-            # single global heap one event at a time.
-            while not self._stopped:
-                handle = queue.peek()
-                if handle is None or handle.time != batch_time:
-                    break
-                queue.pop()
-                self.executed += 1
-                handle.callback()
+            time, _, _, handle = pop(heap)
+            if handle.cancelled:
+                continue
+            # One dispatch batch per distinct instant.  Events a callback
+            # schedules at the current instant go through the same heap,
+            # so they interleave by (priority, seq) with those waiting.
+            if time != batch_time:
+                batch_time = time
+                self.now = time
+                batches += 1
+            self.executed += 1
+            handle.callback()
         if not self._stopped:
             self.now = horizon
         if self.executed != executed_before:
@@ -366,7 +168,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return self._queue.pending
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __repr__(self) -> str:
         return f"<Simulator now={self.now} pending={self.pending}>"

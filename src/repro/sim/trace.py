@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class Trace:
     need.  Long soak simulations can instead cap memory with
     ``max_records``: when the trace exceeds the cap, the oldest quarter
     (plus any excess) is evicted, optionally handed to a ``spill``
-    target first.  The target is either a plain callable (e.g.
-    :func:`jsonl_spill` to stream records to disk) or a writer object
-    with ``write_batch()`` — and optionally ``close()`` — such as
+    target first.  The target is either a plain callable taking the
+    evicted batch (a list of records) or a writer object with
+    ``write_batch()`` — and optionally ``close()`` — such as
     :class:`repro.meas.mtf.MtfWriter`.  Queries then see only the
     retained tail; :attr:`spilled` counts what was evicted.
     :meth:`close` spills the retained tail too, so end-of-run records
@@ -66,10 +66,21 @@ class Trace:
         #: number of records evicted by the bound (0 in unbounded mode).
         self.spilled = 0
         self._closed = False
+        self._last_time: Optional[int] = None
 
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
-        """Append one record.  ``time`` must be non-decreasing per caller
-        discipline; the trace itself does not enforce global ordering."""
+        """Append one record.
+
+        ``time`` must not be earlier than the time of the previous record
+        logged since construction or the last :meth:`clear`; an
+        out-of-order record raises :class:`SimulationError`, because
+        every query assumes the list is time-ordered."""
+        last = self._last_time
+        if last is not None and time < last:
+            raise SimulationError(
+                f"trace record {category} {subject!r} at t={time} is "
+                f"earlier than the previous record at t={last}")
+        self._last_time = time
         self._records.append(Record(time, category, subject, data))
         if self._max_records is not None \
                 and len(self._records) > self._max_records:
@@ -169,8 +180,9 @@ class Trace:
         return max(intervals) - min(intervals)
 
     def clear(self) -> None:
-        """Discard all records."""
+        """Discard all records (and the time-order check's history)."""
         self._records.clear()
+        self._last_time = None
 
     def close(self) -> None:
         """Flush the retained tail to the spill target and close it.
@@ -211,8 +223,8 @@ class Trace:
 
         Two traces digest equal iff they recorded the same events in
         the same order with the same payloads — the equivalence notion
-        the kernel-queue parity tests pin (bucket vs heap dispatch must
-        be byte-identical, not merely statistically alike).
+        the kernel tests pin (a kernel change must keep traces
+        byte-identical, not merely statistically alike).
         """
         body = json.dumps(self.to_dicts(), sort_keys=True,
                           separators=(",", ":"), default=str)
@@ -257,19 +269,6 @@ def as_spill_sink(spill) -> Optional[Callable[[list], None]]:
     raise ConfigurationError(
         f"spill target {spill!r} is neither callable nor a writer "
         f"with write_batch()")
-
-
-def jsonl_spill(path: str) -> Callable[[list[Record]], None]:
-    """Spill callback for :class:`Trace` that appends evicted records to
-    ``path`` as JSON lines (one record per line, sorted keys)."""
-    def spill(records: list[Record]) -> None:
-        with open(path, "a", encoding="utf-8") as handle:
-            for rec in records:
-                handle.write(json.dumps(
-                    {"time": rec.time, "category": rec.category,
-                     "subject": rec.subject, "data": rec.data},
-                    sort_keys=True) + "\n")
-    return spill
 
 
 def summarize(values: list[int]) -> dict:

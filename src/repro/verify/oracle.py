@@ -677,24 +677,17 @@ def verify_system(system: GeneratedSystem,
 
 
 def _system_worker(horizon: Optional[int], system: GeneratedSystem,
-                   seed: int) -> SystemVerdict:
-    """Plan worker (module-level, hence picklable): one system per call.
+                   seed: int,
+                   daq_period: Optional[int] = None) -> SystemVerdict:
+    """Plan worker (module-level, hence picklable): one system per call,
+    plus DAQ sampling when ``daq_period`` is set.
 
     The ``seed`` argument is the engine's spawn-derived per-item seed;
     the system spec was already generated from it, so verification
-    itself draws no randomness and the argument is unused.
+    itself draws no randomness and the argument is unused.  Plain and
+    DAQ runs differ in their plan label, so their checkpoint journals
+    never mix result shapes.
     """
-    return verify_system(system, horizon)
-
-
-def _daq_system_worker(horizon: Optional[int], daq_period: int,
-                       system: GeneratedSystem,
-                       seed: int) -> SystemVerdict:
-    """Plan worker for ``--daq`` runs: verification plus sampling.
-
-    A separate worker (and a separate plan label in
-    :func:`verify_many`) so checkpoint journals of plain and DAQ runs
-    never mix result shapes."""
     return verify_system(system, horizon, daq_period)
 
 
@@ -719,11 +712,10 @@ def verify_many(seed: int, count: int, size: str = "small",
     if daq_period is not None:
         label = (f"verify-daq:size={size}:horizon={horizon}"
                  f":period={daq_period}")
-        worker = functools.partial(_daq_system_worker, horizon,
-                                   daq_period)
     else:
         label = f"verify:size={size}:horizon={horizon}"
-        worker = functools.partial(_system_worker, horizon)
+    worker = functools.partial(_system_worker, horizon,
+                               daq_period=daq_period)
     plan = Plan(label, worker, systems, base_seed=seed)
     outcome = execute(plan, jobs=jobs, retries=retries,
                       checkpoint=checkpoint, resume=resume,

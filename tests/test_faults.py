@@ -170,9 +170,9 @@ def test_com_corruption_fault_overwrites_value():
 
 def test_containment_violations_region_matching():
     trace = Trace()
+    trace.log(5, "com.timeout", "N3")  # before `since`
     trace.log(10, "task.deadline_miss", "N2.task")
     trace.log(20, "task.deadline_miss", "N3")
-    trace.log(5, "com.timeout", "N3")  # before `since`
     violations = containment_violations(trace, {"N2"}, since=8)
     assert [v.subject for v in violations] == ["N3"]
 

@@ -1,39 +1,91 @@
-"""Bucket-queue vs heap-queue equivalence for the simulation kernel.
+"""Event-order contract of the simulation kernel.
 
-:class:`~repro.sim.kernel.BucketEventQueue` (the fast default) and
-:class:`~repro.sim.kernel.HeapEventQueue` (the reference) must be
-observationally indistinguishable: identical event execution order on
-ties, priorities, cancellations and same-instant rescheduling, and
-byte-identical trace digests for full generated-system simulations.
-Any divergence here means the fast path changed simulation semantics,
-which would silently re-date every pinned digest in the repo.
+:class:`~repro.sim.kernel.Simulator` dispatches from one heap ordered
+by ``(time, priority, seq)``.  These tests pin that order (ties,
+priorities, lazy cancellation, same-instant rescheduling, ``stop``)
+against a brute-force reference simulator, pin the telemetry deltas
+the fuzz signature hashes, and pin literal trace and verdict digests
+of full generated-system simulations.  Any divergence here means a kernel
+change altered simulation semantics, which would silently re-date
+every pinned digest in the repo.
 """
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-import repro.sim.kernel as kernel
-from repro.sim.kernel import (BucketEventQueue, HeapEventQueue,
-                              Simulator)
+from repro import obs
+from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.trace import Trace
 from repro.verify.generator import generate
 from repro.verify.oracle import build_system, verify_system
 
-QUEUES = (HeapEventQueue, BucketEventQueue)
+HORIZON = 10_000
 
 
-def run_workload(queue_cls, script):
-    """Run a schedule script and return the execution log.
+class ReferenceSimulator:
+    """Brute-force model of :class:`Simulator`: pending events sit in a
+    plain list and each step fires its minimum ``(time, priority, seq)``."""
+
+    def __init__(self):
+        self.now = self.executed = 0
+        self._events, self._seq, self._stopped = [], itertools.count(), False
+
+    def schedule_at(self, time, callback, priority=0):
+        handle = EventHandle(time, priority, next(self._seq), callback)
+        self._events.append(handle)
+        return handle
+
+    def schedule(self, delay, callback, priority=0):
+        return self.schedule_at(self.now + delay, callback, priority)
+
+    def stop(self):
+        self._stopped = True
+
+    @property
+    def pending(self):
+        return sum(not handle.cancelled for handle in self._events)
+
+    def run_until(self, horizon):
+        self._stopped = False
+        while not self._stopped:
+            live = [(h.time, h.priority, h.seq, h)
+                    for h in self._events if not h.cancelled]
+            if not live or min(live)[0] > horizon:
+                break
+            handle = min(live)[3]
+            self._events.remove(handle)
+            self.now = handle.time
+            self.executed += 1
+            handle.callback()
+        if not self._stopped:
+            self.now = horizon
+
+
+#: The six behaviour cases run on the kernel and on the reference.  The
+#: ids are the names these cases have carried since the kernel shipped
+#: a heap queue and a bucket queue: ``HeapEventQueue`` now runs the
+#: kernel's one heap, ``BucketEventQueue`` the brute-force reference.
+SIMULATORS = pytest.mark.parametrize(
+    "make_sim", [ReferenceSimulator, Simulator],
+    ids=["BucketEventQueue", "HeapEventQueue"])
+
+
+def run_workload(make_sim, script):
+    """Run a schedule script on ``make_sim()`` and return the
+    execution log.
 
     ``script`` is a list of directives applied before the run:
     ``("at", time, priority, tag)`` schedules a logging event,
     ``("cancel", tag)`` cancels a previously scheduled one,
     ``("respawn", time, priority, tag, delay, count)`` schedules an
     event that re-schedules ``count`` followers ``delay`` ns apart
-    (``delay=0`` lands them in the *current* batch).
+    (``delay=0`` lands them in the *current* instant).
     """
-    sim = Simulator(queue=queue_cls())
+    sim = make_sim()
     log = []
     handles = {}
 
@@ -60,7 +112,7 @@ def run_workload(queue_cls, script):
             sim.schedule_at(time, make_respawner(tag, delay, count,
                                                  priority),
                             priority=priority)
-    sim.run_until(10_000)
+    sim.run_until(HORIZON)
     return log, sim.executed, sim.now
 
 
@@ -87,16 +139,14 @@ def random_script(rng):
 @pytest.mark.parametrize("seed", range(50))
 def test_random_workloads_execute_identically(seed):
     script = random_script(random.Random(seed))
-    heap_run = run_workload(HeapEventQueue, script)
-    bucket_run = run_workload(BucketEventQueue, script)
-    assert bucket_run == heap_run
+    assert (run_workload(Simulator, script)
+            == run_workload(ReferenceSimulator, script))
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_fifo_within_same_time_and_priority(queue_cls):
-    """Equal (time, priority) events fire in insertion order — the
-    regression that a bucket's FIFO mode must honour seq order."""
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_fifo_within_same_time_and_priority(make_sim):
+    """Equal (time, priority) events fire in insertion order."""
+    sim = make_sim()
     log = []
     for index in range(20):
         sim.schedule_at(100, lambda i=index: log.append(i))
@@ -104,9 +154,9 @@ def test_fifo_within_same_time_and_priority(queue_cls):
     assert log == list(range(20))
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_priority_orders_within_a_batch(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_priority_orders_within_a_batch(make_sim):
+    sim = make_sim()
     log = []
     sim.schedule_at(100, lambda: log.append("late"), priority=5)
     sim.schedule_at(100, lambda: log.append("early"), priority=-5)
@@ -116,12 +166,11 @@ def test_priority_orders_within_a_batch(queue_cls):
     assert log == ["early", "mid-a", "mid-b", "late"]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_mixed_priority_push_after_partial_drain(queue_cls):
-    """A same-instant event scheduled *during* the batch with a better
-    priority than the remaining tail must jump the queue — this is the
-    bucket's FIFO-to-heap conversion path."""
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_mixed_priority_push_after_partial_drain(make_sim):
+    """A same-instant event scheduled *during* the instant with a better
+    priority than the remaining events must jump ahead of them."""
+    sim = make_sim()
     log = []
 
     def first():
@@ -135,9 +184,9 @@ def test_mixed_priority_push_after_partial_drain(queue_cls):
     assert log == ["first", "urgent", "second", "third"]
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_cancelled_events_never_fire_and_pending_agrees(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_cancelled_events_never_fire_and_pending_agrees(make_sim):
+    sim = make_sim()
     log = []
     keep = sim.schedule_at(50, lambda: log.append("keep"))
     drop = sim.schedule_at(50, lambda: log.append("drop"))
@@ -148,14 +197,14 @@ def test_cancelled_events_never_fire_and_pending_agrees(queue_cls):
     assert log == ["keep", "later"]
     assert keep.time == 50
     assert sim.executed == 2
+    assert sim.pending == 0
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_reschedule_at_drained_timestamp(queue_cls):
-    """Scheduling back into the current instant after its bucket
-    drained must still fire within the same run (the stale-times
-    normalization path of the bucket queue)."""
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_reschedule_at_drained_timestamp(make_sim):
+    """Scheduling back into the current instant after every event there
+    has fired must still fire within the same run."""
+    sim = make_sim()
     log = []
 
     def fire():
@@ -169,9 +218,9 @@ def test_reschedule_at_drained_timestamp(queue_cls):
     assert sim.now == 200
 
 
-@pytest.mark.parametrize("queue_cls", QUEUES)
-def test_stop_inside_a_batch_halts_dispatch(queue_cls):
-    sim = Simulator(queue=queue_cls())
+@SIMULATORS
+def test_stop_inside_a_batch_halts_dispatch(make_sim):
+    sim = make_sim()
     log = []
     sim.schedule_at(100, lambda: (log.append("a"), sim.stop()))
     sim.schedule_at(100, lambda: log.append("b"))
@@ -183,30 +232,89 @@ def test_stop_inside_a_batch_halts_dispatch(queue_cls):
 
 
 # ----------------------------------------------------------------------
-# Full-system equivalence: the oracle's simulations are byte-identical
+# Telemetry deltas: the fuzz signature hashes both counters
 # ----------------------------------------------------------------------
-def run_system(monkeypatch, queue_cls, seed):
-    import itertools
+def _respawn_in_one_instant(sim):
+    def fire():
+        for _ in range(3):
+            sim.schedule(0, lambda: None)
+    sim.schedule_at(100, fire)
+    sim.schedule_at(100, lambda: None, priority=4)
+    return [300]                     # 5 events, all at t=100
 
+
+def _cancelled_instant(sim):
+    for _ in range(2):
+        sim.schedule_at(50, lambda: None).cancel()
+    sim.schedule_at(60, lambda: None)
+    sim.schedule_at(70, lambda: None).cancel()
+    return [100]                     # t=50 and t=70 fire nothing
+
+
+def _horizon_split(sim):
+    sim.schedule_at(100, lambda: None)
+    sim.schedule_at(100, lambda: None)
+    sim.schedule_at(200, lambda: sim.schedule(0, lambda: None))
+    sim.schedule_at(300, lambda: None)
+    return [100, 400]                # t=100 is at the first horizon
+
+
+def _counters(sim, horizons):
+    deltas = []
+    for horizon in horizons:
+        with obs.capture() as scope:
+            sim.run_until(horizon)
+        counters = scope.snapshot()["metrics"]["counters"]
+        deltas.append((counters.get("sim.events", 0),
+                       counters.get("sim.dispatch_batches", 0)))
+    return deltas
+
+
+@pytest.mark.parametrize("scenario, expected", [
+    (_respawn_in_one_instant, [(5, 1)]),
+    (_cancelled_instant, [(1, 1)]),
+    (_horizon_split, [(2, 1), (3, 2)]),
+], ids=["same-instant-respawn", "cancelled-instant", "horizon-split"])
+def test_event_and_dispatch_batch_deltas_are_pinned(scenario, expected):
+    sim = Simulator()
+    assert _counters(sim, scenario(sim)) == expected
+
+
+# ----------------------------------------------------------------------
+# Full-system pins: the oracle's simulations are byte-stable
+# ----------------------------------------------------------------------
+#: seed -> (trace digest, verdict-dict digest, trace records, checks)
+SYSTEM_PINS = {
+    0: ("74b5119199a089075864a4d736d7be2effbdaa88abb9a2eec51d6d89b3e80b45",
+        "778daa266b2f5a04c9cce5bc2a175dd0e95a8b07a8f8d59cbe377384c3907325",
+        3170, 26),
+    3: ("0854972e3e7ca74ff79b8386f5dd5b10d6870fbe12e787cffc23ecf1899136e9",
+        "1de2598b5ebb729e37d40cc4c364276ad94e32cd060d348e2ac2bee9ed9c4a23",
+        3440, 26),
+    11: ("19c2f93a28d6d81f347653f45d8a390fc25fc62d3a2c114e56d467d2395c0f5f",
+         "6eef3dc0cf3069dfb7161f4c10f4b6cc66c49b17494b7c2889b89ef9a53e79d6",
+         3719, 25),
+    17: ("5c2d28b08397525c36689f620ba61ec1524aeb95c244db528ececcf42f0a375a",
+         "348200ba4e366fb5d1a33528eb3faf5fddf2a472af18fc85369b05b7671f209f",
+         3123, 27),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYSTEM_PINS))
+def test_generated_system_traces_and_verdicts_match(monkeypatch, seed):
     import repro.osek.task as osek_task
 
-    monkeypatch.setattr(kernel, "DEFAULT_QUEUE_CLASS", queue_cls)
     # Job sequence numbers come from a process-global counter and land
-    # in trace records; restart it so both queue runs see id 0 first.
+    # in trace records; restart it so the pinned run sees id 0 first.
     monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
-    system = generate(seed, "small")
-    built = build_system(system)
+    built = build_system(generate(seed, "small"))
     built.sim.run_until(built.horizon)
-    verdict = verify_system(generate(seed, "small"))
-    return built.trace.digest(), verdict.to_dict()
-
-
-@pytest.mark.parametrize("seed", [0, 3, 11, 17])
-def test_generated_system_traces_and_verdicts_match(monkeypatch, seed):
-    heap = run_system(monkeypatch, HeapEventQueue, seed)
-    bucket = run_system(monkeypatch, BucketEventQueue, seed)
-    assert bucket[0] == heap[0]      # trace digest byte-identical
-    assert bucket[1] == heap[1]      # full oracle verdict identical
+    verdict = verify_system(generate(seed, "small")).to_dict()
+    body = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+    assert (built.trace.digest(),
+            hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            verdict["records"], len(verdict["checks"])) == SYSTEM_PINS[seed]
+    assert all(check["sound"] for check in verdict["checks"])
 
 
 def test_trace_digest_is_order_and_content_sensitive():
@@ -222,10 +330,3 @@ def test_trace_digest_is_order_and_content_sensitive():
     c.log(1, "x", "s"), c.log(1, "y", "s")
     d.log(1, "y", "s"), d.log(1, "x", "s")
     assert c.digest() != d.digest()
-
-
-def test_default_queue_is_the_bucket_queue():
-    """The fast path is the default; this pin makes an accidental
-    fallback to the reference queue a visible test failure."""
-    assert kernel.DEFAULT_QUEUE_CLASS is BucketEventQueue
-    assert isinstance(Simulator()._queue, BucketEventQueue)

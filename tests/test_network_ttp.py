@@ -79,6 +79,23 @@ def test_babbler_with_guardian_is_contained():
     assert cluster.node("N2").guardian.blocked_count > 0
 
 
+def test_guardian_blocks_keep_a_shared_trace_time_ordered():
+    """A block is logged when its slot is evaluated, so records another
+    subsystem logs mid-slot into the same trace stay in time order."""
+    sim, cluster = make_cluster(n=4, guardians=True)
+    cluster.node("N2").start_babbling()
+    cluster.start()
+    for slot in range(16):
+        sim.schedule_at(slot * us(100) + us(50),
+                        lambda: cluster.trace.log(sim.now, "app.tick", "X"))
+    sim.run_until(4 * cluster.round_length)
+    blocks = cluster.trace.records("ttp.guardian_block")
+    assert blocks
+    assert all(r.time == r.data["slot_start"] + us(100) for r in blocks)
+    times = [r.time for r in cluster.trace]
+    assert times == sorted(times)
+
+
 def test_babbler_without_guardian_destroys_other_slots():
     sim, cluster = make_cluster(n=4, guardians=False)
     cluster.node("N2").start_babbling()

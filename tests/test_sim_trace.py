@@ -1,7 +1,11 @@
 """Unit tests for trace recording and derived metrics."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim import Trace, summarize
 from repro.sim.clock import DriftingClock, precision
+from repro.sim.trace import Record
 
 
 def test_log_and_filter_by_category_prefix():
@@ -74,6 +78,26 @@ def test_clear():
     tr.log(0, "a", "b")
     tr.clear()
     assert len(tr) == 0
+
+
+def test_log_rejects_a_record_earlier_than_the_previous_one():
+    tr = Trace()
+    tr.log(5, "a", "x")
+    tr.log(5, "b", "x")              # equal times are in order
+    with pytest.raises(SimulationError, match="t=4"):
+        tr.log(4, "c", "x")
+    assert [r.category for r in tr] == ["a", "b"]
+
+
+def test_time_order_check_survives_eviction_and_resets_on_clear():
+    tr = Trace(max_records=4)
+    for i in range(10):
+        tr.log(i, "a", "x")
+    with pytest.raises(SimulationError):
+        tr.log(3, "a", "x")          # the evicted past still counts
+    tr.clear()
+    tr.log(0, "a", "x")              # a cleared trace starts over
+    assert len(tr) == 1
 
 
 def test_drifting_clock_fast_and_slow():
@@ -156,26 +180,19 @@ def test_bounded_trace_spill_callback_receives_evicted():
     assert [r.time for r in batches[0]] == [0, 1, 2]
 
 
-def test_jsonl_spill_streams_to_disk(tmp_path):
-    import json
-
-    from repro.sim.trace import jsonl_spill
-
-    path = tmp_path / "spill.jsonl"
-    tr = Trace(max_records=8, spill=jsonl_spill(path))
+def test_callable_spill_streams_every_eviction():
+    spilled = []
+    tr = Trace(max_records=8, spill=spilled.extend)
     for i in range(20):
         tr.log(i, "cat", "s", n=i)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    # Spilled-to-disk plus retained-in-memory covers every record.
-    assert len(rows) + len(tr) == 20
-    assert rows[0] == {"time": 0, "category": "cat", "subject": "s",
-                       "data": {"n": 0}}
-    assert [r["time"] for r in rows] == list(range(len(rows)))
+    # Spilled plus retained-in-memory covers every record, in order.
+    assert len(spilled) + len(tr) == 20
+    assert spilled[0] == Record(0, "cat", "s", {"n": 0})
+    assert [r.time for r in spilled] == list(range(len(spilled)))
+    assert [r.time for r in tr] == list(range(len(spilled), 20))
 
 
 def test_bounded_trace_validates_cap():
-    import pytest
-
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
@@ -230,25 +247,19 @@ def test_close_without_spill_target_is_harmless():
     tr.close()
 
 
-def test_jsonl_spill_round_trips_every_record_via_close(tmp_path):
-    import json
-
-    from repro.sim.trace import jsonl_spill
-
-    path = tmp_path / "full.jsonl"
-    tr = Trace(max_records=8, spill=jsonl_spill(path))
+def test_callable_spill_receives_every_record_via_close():
+    spilled = []
+    tr = Trace(max_records=8, spill=spilled.extend)
     for i in range(20):
         tr.log(i, "cat", "s", n=i)
     tr.close()
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    # With close(), the file alone covers the whole run, in order.
-    assert [r["time"] for r in rows] == list(range(20))
-    assert [r["data"]["n"] for r in rows] == list(range(20))
+    # With close(), the sink alone covers the whole run, in order.
+    assert [r.time for r in spilled] == list(range(20))
+    assert [r.data["n"] for r in spilled] == list(range(20))
+    assert len(tr) == 0 and tr.spilled == 20
 
 
 def test_mistyped_spill_target_rejected():
-    import pytest
-
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):

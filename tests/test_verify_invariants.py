@@ -208,10 +208,10 @@ def test_blocked_rejection_is_clean():
 # ----------------------------------------------------------------------
 def test_checker_merges_and_sorts_violations():
     tr = Trace()
-    tr.log(9, "e2e.crc_error", "PDU")
-    tr.log(9, "com.rx", "PDU")
     tr.log(0, "task.start", "A")
     tr.log(5, "task.start", "B")
+    tr.log(9, "e2e.crc_error", "PDU")
+    tr.log(9, "com.rx", "PDU")
     violations = check(tr, NoOverlappingExecution(ECUS),
                        E2eContainmentInvariant())
     assert [v.time for v in violations] == [5, 9]
