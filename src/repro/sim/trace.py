@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import ConfigurationError, SimulationError
@@ -52,6 +53,18 @@ class Trace:
     :meth:`close` spills the retained tail too, so end-of-run records
     are never silently dropped.  With both parameters at their
     defaults the behaviour is exactly the historical unbounded one.
+
+    Queries with a category answer from an index rather than a scan.
+    The index maps each exact category to the positions of its records,
+    and each (category, subject) pair to theirs.  :meth:`log` stays a
+    plain append; :meth:`records` first extends the index over the
+    records logged since the last query, so each record is indexed once
+    whatever the number of queries.  A query then costs the number of
+    distinct categories (to apply the dotted-prefix rule) plus the
+    records it returns, instead of the length of the trace.  Eviction,
+    :meth:`clear` and :meth:`close` shift or drop positions, so they
+    drop the index and the next query rebuilds it over the retained
+    tail.  Only a query without a category still scans every record.
     """
 
     def __init__(self, max_records: Optional[int] = None,
@@ -67,6 +80,10 @@ class Trace:
         self.spilled = 0
         self._closed = False
         self._last_time: Optional[int] = None
+        #: category -> (positions, {subject: positions}), built lazily
+        #: over ``self._records[:self._indexed]``.
+        self._index: dict[str, tuple[list[int], dict[str, list[int]]]] = {}
+        self._indexed = 0
 
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
         """Append one record.
@@ -93,6 +110,7 @@ class Trace:
                 self._spill(evicted)
             self.spilled += len(evicted)
             del self._records[:len(evicted)]
+            self._drop_index()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -104,22 +122,55 @@ class Trace:
                 subject: Optional[str] = None,
                 predicate: Optional[Callable[[Record], bool]] = None
                 ) -> list[Record]:
-        """Filtered view of the trace.
+        """Filtered view of the trace, in log order.
 
         ``category`` matches exactly or as a dotted prefix (``"task"``
         matches ``"task.activate"``).
         """
-        out = []
-        for rec in self._records:
-            if category is not None and not _category_matches(rec.category,
-                                                              category):
-                continue
-            if subject is not None and rec.subject != subject:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
+        recs = self._records
+        if category is None:
+            out = [r for r in recs
+                   if subject is None or r.subject == subject]
+        else:
+            self._catch_up()
+            buckets = []
+            for indexed, (positions, by_subject) in self._index.items():
+                if not category_matches(indexed, category):
+                    continue
+                if subject is not None:
+                    positions = by_subject.get(subject)
+                    if positions is None:
+                        continue
+                buckets.append(positions)
+            if len(buckets) > 1:
+                positions = sorted(chain.from_iterable(buckets))
+            else:
+                positions = buckets[0] if buckets else ()
+            out = [recs[i] for i in positions]
+        if predicate is not None:
+            out = [r for r in out if predicate(r)]
         return out
+
+    def _catch_up(self) -> None:
+        """Index the records logged since the last query."""
+        recs = self._records
+        index = self._index
+        for pos in range(self._indexed, len(recs)):
+            rec = recs[pos]
+            entry = index.get(rec.category)
+            if entry is None:
+                entry = index[rec.category] = ([], {})
+            entry[0].append(pos)
+            by_subject = entry[1].get(rec.subject)
+            if by_subject is None:
+                entry[1][rec.subject] = [pos]
+            else:
+                by_subject.append(pos)
+        self._indexed = len(recs)
+
+    def _drop_index(self) -> None:
+        self._index = {}
+        self._indexed = 0
 
     def times(self, category: str, subject: Optional[str] = None) -> list[int]:
         """Timestamps of matching records."""
@@ -183,6 +234,7 @@ class Trace:
         """Discard all records (and the time-order check's history)."""
         self._records.clear()
         self._last_time = None
+        self._drop_index()
 
     def close(self) -> None:
         """Flush the retained tail to the spill target and close it.
@@ -199,6 +251,7 @@ class Trace:
             self._spill(list(self._records))
             self.spilled += len(self._records)
             self._records.clear()
+            self._drop_index()
         closer = getattr(self._spill_target, "close", None)
         if callable(closer):
             closer()
@@ -248,7 +301,10 @@ class Trace:
         return f"<Trace {len(self._records)} records>"
 
 
-def _category_matches(actual: str, wanted: str) -> bool:
+def category_matches(actual: str, wanted: str) -> bool:
+    """The dotted-prefix rule: ``wanted`` is ``actual`` or one of its
+    dotted prefixes (``"task"`` matches ``"task.activate"``, not
+    ``"taskx"``)."""
     return actual == wanted or actual.startswith(wanted + ".")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.sim.trace import Record, Trace
+from repro.sim.trace import Record, Trace, category_matches
 
 #: Trace categories that begin a CPU occupancy interval for a task.
 _RUN_BEGIN = ("task.start", "task.resume")
@@ -52,9 +52,16 @@ class Invariant:
     Subclasses append to ``self.violations`` as breaches are detected;
     :meth:`finish` may add violations that only become decidable at the
     end of the stream (cross-record joins).
+
+    ``categories`` names the record categories :meth:`observe` cares
+    about (each exact or as a dotted prefix, as in
+    :meth:`Trace.records <repro.sim.trace.Trace.records>`);
+    :class:`InvariantChecker` feeds an invariant only those records.
+    The default ``None`` means every record.
     """
 
     name = "invariant"
+    categories: Optional[tuple[str, ...]] = None
 
     def __init__(self):
         self.violations: list[Violation] = []
@@ -77,6 +84,7 @@ class NoOverlappingExecution(Invariant):
     """
 
     name = "no-overlap"
+    categories = _RUN_BEGIN + _RUN_END
 
     def __init__(self, task_ecu: dict[str, str]):
         super().__init__()
@@ -109,6 +117,7 @@ class TdmaWindowInvariant(Invariant):
     """
 
     name = "tdma-window"
+    categories = _RUN_BEGIN + _RUN_END
 
     def __init__(self, windows: Iterable[tuple[int, int, str]],
                  major_frame: int, task_partition: dict[str, str]):
@@ -157,6 +166,7 @@ class PriorityCeilingInvariant(Invariant):
     """
 
     name = "priority-ceiling"
+    categories = _RUN_BEGIN + ("task.acquire", "task.release")
 
     def __init__(self, priorities: dict[str, int], ceilings: dict[str, int],
                  task_ecu: dict[str, str]):
@@ -203,6 +213,7 @@ class AliveCounterInvariant(Invariant):
     """
 
     name = "alive-counter"
+    categories = ("e2e.ok",)
 
     def __init__(self, pdu_name: str, modulo: int, max_delta: int = 1):
         super().__init__()
@@ -232,6 +243,7 @@ class E2eContainmentInvariant(Invariant):
     delivery) of the same PDU at the same instant."""
 
     name = "e2e-containment"
+    categories = _E2E_BAD + ("com.rx",)
 
     def __init__(self):
         super().__init__()
@@ -259,10 +271,18 @@ class InvariantChecker:
         self.invariants = list(invariants)
 
     def run(self, trace: Trace) -> list[Violation]:
-        """Feed every record to every invariant; returns all violations
-        sorted by (time, invariant, subject)."""
+        """Feed each record, in log order, to the invariants whose
+        ``categories`` cover it; returns all violations sorted by
+        (time, invariant, subject)."""
+        # category -> the interested invariants, in list order
+        dispatch: dict[str, list[Invariant]] = {}
         for record in trace:
-            for invariant in self.invariants:
+            observers = dispatch.get(record.category)
+            if observers is None:
+                observers = dispatch[record.category] = [
+                    invariant for invariant in self.invariants
+                    if _observes(invariant, record.category)]
+            for invariant in observers:
                 invariant.observe(record)
         violations: list[Violation] = []
         for invariant in self.invariants:
@@ -270,3 +290,9 @@ class InvariantChecker:
             violations.extend(invariant.violations)
         return sorted(violations,
                       key=lambda v: (v.time, v.invariant, v.subject))
+
+
+def _observes(invariant: Invariant, category: str) -> bool:
+    wanted = invariant.categories
+    return wanted is None or any(category_matches(category, prefix)
+                                 for prefix in wanted)

@@ -139,7 +139,8 @@ def test_committed_trajectory_is_in_sync():
         assert handle.read() == rebuilt
     doc = json.loads(rebuilt)
     assert trajectory.validate_trajectory(doc) == []
-    assert {e["bench"] for e in doc["entries"]} >= {"e19_meas"}
+    assert {e["bench"] for e in doc["entries"]} >= {"e19_meas",
+                                                   "e21_observe"}
 
 
 # ----------------------------------------------------------------------

@@ -40,3 +40,20 @@ def test_trace_queries_scale():
                              end_category="task.complete")
     elapsed = time.perf_counter() - start
     assert elapsed < 20.0, f"trace queries too slow: {elapsed:.1f}s"
+
+
+def test_subject_queries_do_not_rescan_the_trace():
+    """One query per subject over a large trace: with the
+    (category, subject) index this is the records returned, not
+    queries x records (a full scan per query takes tens of seconds)."""
+    from repro.sim import Trace
+    trace = Trace()
+    for index in range(200_000):
+        trace.log(index, ("task.activate", "task.complete")[index % 2],
+                  f"t{index % 1000}", response=index)
+    start = time.perf_counter()
+    returned = sum(len(trace.records("task.complete", f"t{subject}"))
+                   for subject in range(1000))
+    elapsed = time.perf_counter() - start
+    assert returned == 100_000
+    assert elapsed < 3.0, f"subject queries too slow: {elapsed:.1f}s"

@@ -1,9 +1,12 @@
 """Unit tests for trace recording and derived metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Trace, summarize
+from repro.network.can import CanBus, CanFrameSpec
+from repro.sim import Simulator, Trace, summarize
 from repro.sim.clock import DriftingClock, precision
 from repro.sim.trace import Record
 
@@ -264,3 +267,166 @@ def test_mistyped_spill_target_rejected():
 
     with pytest.raises(ConfigurationError):
         Trace(max_records=8, spill=object())
+
+
+# ----------------------------------------------------------------------
+# The (category, subject) index against a brute-force scan
+# ----------------------------------------------------------------------
+def reference_scan(records, category=None, subject=None, predicate=None):
+    """What ``Trace.records`` must return: a plain filter in log order."""
+    out = []
+    for rec in records:
+        if category is not None and rec.category != category \
+                and not rec.category.startswith(category + "."):
+            continue
+        if subject is not None and rec.subject != subject:
+            continue
+        if predicate is None or predicate(rec):
+            out.append(rec)
+    return out
+
+
+def assert_same_records(got, expected):
+    assert got == expected
+    assert all(a is b for a, b in zip(got, expected))
+
+
+#: Logged categories stressing the dotted-prefix rule: a bare prefix,
+#: nested children, a sibling sharing the letters, a trailing dot.
+LOGGED = ("task", "task.a", "task.a.b", "taskx", "task.", "can.rx", "can")
+QUERIED = LOGGED + ("ta", "task.a.b.c", "can.r", "")
+SUBJECTS = ("A", "B", "C")
+
+
+def _even(rec):
+    return rec.data["n"] % 2 == 0
+
+
+QUERY = st.tuples(st.just("query"), st.none() | st.sampled_from(QUERIED),
+                  st.none() | st.sampled_from(SUBJECTS + ("Z",)),
+                  st.sampled_from((None, _even)))
+LOG = st.tuples(st.just("log"), st.sampled_from(LOGGED),
+                st.sampled_from(SUBJECTS), st.integers(0, 3))
+OPERATIONS = st.lists(st.one_of(LOG, LOG, LOG, QUERY,
+                                st.tuples(st.just("clear")),
+                                st.tuples(st.just("close"))),
+                      max_size=80)
+
+
+@settings(deadline=None)
+@given(cap=st.none() | st.integers(4, 12), operations=OPERATIONS)
+def test_index_matches_reference_scan(cap, operations):
+    spilled = []
+    tr = Trace(max_records=cap, spill=spilled.extend)
+    retained, evicted = [], []
+    closed = False
+    now = n = 0
+    for op in operations:
+        if op[0] == "log":
+            _, category, subject, step = op
+            now += step
+            n += 1
+            tr.log(now, category, subject, n=n)
+            retained.append(Record(now, category, subject, {"n": n}))
+            if cap is not None and len(retained) > cap:
+                cut = len(retained) - cap * 3 // 4
+                evicted += retained[:cut]
+                del retained[:cut]
+        elif op[0] == "query":
+            _, category, subject, predicate = op
+            assert_same_records(tr.records(category, subject, predicate),
+                                reference_scan(tr, category, subject,
+                                               predicate))
+        elif op[0] == "clear":
+            tr.clear()
+            retained = []
+        elif not closed:
+            tr.close()
+            evicted += retained
+            retained, closed = [], True
+        assert list(tr) == retained and spilled == evicted
+    for category in (None,) + QUERIED:
+        for subject in (None,) + SUBJECTS:
+            assert_same_records(tr.records(category, subject),
+                                reference_scan(tr, category, subject))
+
+
+def test_derived_queries_read_through_the_index():
+    tr = Trace()
+    for t, (category, subject) in enumerate([
+            ("task.activate", "T"), ("task.activate", "U"),
+            ("task.complete", "T"), ("task.complete", "U"),
+            ("task.activate", "T"), ("task.complete", "T")]):
+        tr.log(t * 10, category, subject, response=t)
+    assert tr.times("task", "T") == [0, 20, 40, 50]
+    assert tr.data_values("task.complete", "response", "T") == [2, 5]
+    assert tr.spans("task.activate", "task.complete", "T") == \
+        [(0, 20), (40, 50)]
+    tr.log(60, "task.activate", "T")
+    tr.log(75, "task.complete", "T", response=6)
+    assert tr.response_times("T") == [20, 10, 15]
+
+
+# ----------------------------------------------------------------------
+# Bounded traces: queries see exactly the retained tail
+# ----------------------------------------------------------------------
+def _log_mixed(tr, start, count):
+    for i in range(start, start + count):
+        tr.log(i, ("task.start", "task.complete", "bus.rx")[i % 3],
+               "AB"[i % 2], n=i)
+
+
+def _assert_queries_match_tail(tr):
+    for category in (None, "task", "task.start", "bus.rx", "bus"):
+        for subject in (None, "A", "B"):
+            assert_same_records(tr.records(category, subject),
+                                reference_scan(tr, category, subject))
+            assert_same_records(tr.records(category, subject, _even),
+                                reference_scan(tr, category, subject,
+                                               _even))
+
+
+def test_bounded_trace_queries_across_evictions_close_and_clear():
+    spilled = []
+    tr = Trace(max_records=8, spill=spilled.extend)
+    _log_mixed(tr, 0, 6)
+    _assert_queries_match_tail(tr)  # before any eviction
+    for start in range(6, 61, 5):
+        _log_mixed(tr, start, 5)  # one or two evictions per round
+        _assert_queries_match_tail(tr)
+    assert len(spilled) > 50 and tr.spilled == len(spilled)
+    assert [r.data["n"] for r in spilled + list(tr)] == list(range(61))
+    assert tr.records("task", "A")  # the tail is non-empty and indexed
+    tr.close()
+    assert len(tr) == 0 and tr.records("task") == []
+    _assert_queries_match_tail(tr)
+    assert [r.data["n"] for r in spilled] == list(range(61))
+
+    tr.clear()
+    _log_mixed(tr, 100, 7)
+    _assert_queries_match_tail(tr)
+    tr.clear()
+    assert tr.records("task") == [] and tr.records("bus.rx", "A") == []
+    _log_mixed(tr, 200, 3)
+    _assert_queries_match_tail(tr)
+    assert [r.data["n"] for r in tr.records("task")] == [201, 202]
+
+
+def test_shared_trace_can_latencies_stay_per_bus():
+    sim, trace = Simulator(), Trace()
+    buses = {name: CanBus(sim, 500_000, trace=trace, name=name)
+             for name in ("A", "B")}
+    spec = CanFrameSpec("F", 0x100)
+    for name, bus in buses.items():
+        tx = bus.attach("tx")
+        bus.attach("rx")
+        for at in range(3 if name == "A" else 2):
+            sim.schedule_at(at * 1_000_000,
+                            lambda tx=tx: tx.send(spec))
+    sim.run_until(10_000_000)
+    for name, bus in buses.items():
+        own = [r for r in trace.records("can.rx", "F")
+               if r.data["bus"] == name]
+        assert len(own) == (3 if name == "A" else 2)
+        assert bus.latencies("F") == [r.data["latency"] for r in own]
+        assert bus.records("can.rx", "F") == own

@@ -1,11 +1,18 @@
 """Unit tests for the trace invariants, driven by hand-built traces
 that provably violate (or satisfy) each property."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.sim import Trace
 from repro.units import ms, us
 from repro.verify import (AliveCounterInvariant, E2eContainmentInvariant,
-                          InvariantChecker, NoOverlappingExecution,
-                          PriorityCeilingInvariant, TdmaWindowInvariant)
+                          Invariant, InvariantChecker,
+                          NoOverlappingExecution, PriorityCeilingInvariant,
+                          TdmaWindowInvariant, build_system, generate,
+                          make_invariants)
 
 ECUS = {"A": "E0", "B": "E0", "C": "E1"}
 
@@ -217,3 +224,103 @@ def test_checker_merges_and_sorts_violations():
     assert [v.time for v in violations] == [5, 9]
     assert {v.invariant for v in violations} == \
         {"no-overlap", "e2e-containment"}
+
+
+# ----------------------------------------------------------------------
+# Per-category dispatch
+# ----------------------------------------------------------------------
+class _Recorder(Invariant):
+    """A user invariant that declares no categories."""
+
+    name = "recorder"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def observe(self, record):
+        self.seen.append((record.time, record.category, record.subject))
+
+
+def test_invariant_without_categories_sees_every_record():
+    tr = Trace()
+    tr.log(0, "task.start", "A")
+    tr.log(1, "bus.tx", "F")
+    tr.log(2, "e2e.ok", "PDU", counter=1)
+    tr.log(2, "custom", "X")
+    recorder = _Recorder()
+    check(tr, NoOverlappingExecution(ECUS), recorder,
+          AliveCounterInvariant("PDU", 16))
+    assert recorder.seen == [(r.time, r.category, r.subject) for r in tr]
+
+
+def test_declared_categories_filter_by_dotted_prefix():
+    class Tasks(_Recorder):
+        categories = ("task",)
+
+    tr = Trace()
+    for time, category in enumerate(("task.start", "taskx", "task",
+                                     "com.rx", "task.a.b")):
+        tr.log(time, category, "S")
+    tasks = Tasks()
+    check(tr, tasks)
+    assert [c for _, c, _ in tasks.seen] == ["task.start", "task",
+                                             "task.a.b"]
+
+
+def _stressed_invariants(system):
+    """Every built-in invariant, configured so generated systems break
+    it: one shared CPU, ceilings above every priority, TDMA windows cut
+    to their second half and an alive counter that tolerates no step."""
+    one_cpu = {t.name: "ONE" for t in system.all_task_specs()}
+    priorities = {t.name: t.priority for t in system.all_task_specs()}
+    invariants = [
+        NoOverlappingExecution(one_cpu),
+        PriorityCeilingInvariant(priorities,
+                                 {r: 10 ** 6 for r in system.resources},
+                                 one_cpu),
+        E2eContainmentInvariant(),
+    ]
+    if system.tdma is not None:
+        windows = [(w.start + w.length // 2, w.length // 2, w.partition)
+                   for w in system.tdma.scheduler().windows]
+        invariants.append(TdmaWindowInvariant(
+            windows, system.tdma.major_frame,
+            {t.name: t.partition for t in system.tdma.tasks}))
+    if system.chain is not None:
+        invariants.append(AliveCounterInvariant(
+            system.chain.pdu_name, 1 << system.chain.counter_bits, 0))
+    return invariants
+
+
+def _violation_digest(violations):
+    body = json.dumps([v.to_dict() for v in violations], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+#: seed -> (violations of the oracle's invariant set, violations and
+#: their digest under the stressed set), computed before invariants
+#: declared categories.
+DISPATCH_PINS = {
+    0: (0, 141,
+        "7863524e430b35944fc8da082b4cc3f35ab5e5b958928e642bed8be8161addd6"),
+    3: (0, 297,
+        "f78023421df8d007501b109328f1ce979c1d93d67d427c7ce2de7f31de26ee0a"),
+    11: (0, 215,
+         "3c4d6ed8566d78c07545393fc17daeac01c37a437d78d05ba141704f757fbbac"),
+    17: (0, 90,
+         "73419e268b84bcd0767ff1835d5ef03d8a02f69fcddcacffbc3c3188200153b3"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DISPATCH_PINS))
+def test_checker_violations_on_generated_systems_are_pinned(seed):
+    system = generate(seed, "small")
+    built = build_system(system)
+    built.sim.run_until(built.horizon)
+    nominal = InvariantChecker(make_invariants(system)).run(built.trace)
+    stressed = InvariantChecker(_stressed_invariants(system)).run(
+        built.trace)
+    assert (len(nominal), len(stressed),
+            _violation_digest(stressed)) == DISPATCH_PINS[seed]
