@@ -397,10 +397,11 @@ class ComStack:
     # ------------------------------------------------------------------
     def _dispatch_pdu(self, pdu_name: str, payload: int) -> None:
         """Adapter entry point: run interposers, then process the PDU."""
-        for fltr in list(self._rx_filters):
-            payload = fltr(pdu_name, payload)
-            if payload is None:
-                return  # interposer dropped the PDU
+        if self._rx_filters:
+            for fltr in list(self._rx_filters):
+                payload = fltr(pdu_name, payload)
+                if payload is None:
+                    return  # interposer dropped the PDU
         self._on_pdu(pdu_name, payload)
 
     def _on_pdu(self, pdu_name: str, payload: int) -> None:

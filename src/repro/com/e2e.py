@@ -48,16 +48,28 @@ CRC_SUFFIX = ".e2e_crc"
 _CRC8_POLY = 0x1D  # SAE J1850, the AUTOSAR Crc_CalculateCRC8 polynomial
 
 
+def _crc8_byte(crc: int) -> int:
+    """Eight MSB-first shift steps of the CRC register."""
+    for _ in range(8):
+        if crc & 0x80:
+            crc = ((crc << 1) ^ _CRC8_POLY) & 0xFF
+        else:
+            crc = (crc << 1) & 0xFF
+    return crc
+
+
+#: The register after eight shift steps, by its value before them.
+_CRC8_TABLE = tuple(_crc8_byte(value) for value in range(256))
+
+
 def crc8(data: bytes, start: int = 0xFF) -> int:
-    """CRC-8 (poly 0x1D, SAE J1850) over ``data``, MSB first."""
+    """CRC-8 (poly 0x1D, SAE J1850) over ``data``, MSB first.
+
+    Table-driven, one lookup per byte; the steps only ever see the low
+    eight bits of the register, hence the mask."""
     crc = start
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 0x80:
-                crc = ((crc << 1) ^ _CRC8_POLY) & 0xFF
-            else:
-                crc = (crc << 1) & 0xFF
+        crc = _CRC8_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFF
 
 

@@ -147,9 +147,6 @@ class CanController:
         """Frames waiting in the transmit queue."""
         return len(self._queue)
 
-    def _head(self):
-        return self._queue[0] if self._queue else None
-
     def _pop_head(self):
         return heapq.heappop(self._queue)
 
@@ -215,11 +212,19 @@ class CanBus:
         self._start_pending = False
         if not self.idle:
             return
-        contenders = [(c._head()[0], c._head()[1], c)
-                      for c in self.controllers.values() if c._head()]
-        if not contenders:
+        # The lowest (CAN id, message seq) queue head wins; each
+        # controller's head is read once.  Message seqs are unique, so
+        # comparing whole heads never reaches the spec.
+        best = winner = None
+        for controller in self.controllers.values():
+            queue = controller._queue
+            if queue:
+                head = queue[0]
+                if best is None or head < best:
+                    best = head
+                    winner = controller
+        if winner is None:
             return
-        __, __, winner = min(contenders)
         can_id, __, spec, msg = winner._pop_head()
         obs.count("can.arbitrations")
         self._transmit(winner, spec, msg)

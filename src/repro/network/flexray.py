@@ -18,6 +18,7 @@ Static frames support cycle multiplexing via ``base_cycle`` /
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Optional
 
 from repro import obs
@@ -152,6 +153,7 @@ class FlexRayController:
     def on_receive(self, callback: Callable) -> None:
         """Register a reception callback (frame name, message, slot)."""
         self._rx_callbacks.append(callback)
+        self.bus._update_receivers()
 
     def _deliver(self, frame_name: str, msg: Message, slot) -> None:
         for callback in self._rx_callbacks:
@@ -178,7 +180,17 @@ class FlexRayBus:
         self.name = name
         self.fault_model = fault_model
         self.controllers: dict[str, FlexRayController] = {}
+        #: the controllers with receive callbacks, in attach order: the
+        #: only peers a transmission is delivered to.
+        self._receivers: list[FlexRayController] = []
         self._slot_table: dict[int, StaticSlotAssignment] = {}
+        #: cycle % _plan_period -> [(slot, slot-end callback)] of the
+        #: assignments active in that cycle, in slot order; built on
+        #: first use and dropped by assign_slot.  The plan period is the
+        #: largest repetition in the table, a divisor of CYCLE_COUNT_MAX
+        #: that every other repetition divides.
+        self._slot_plans: dict[int, list[tuple[int, Callable]]] = {}
+        self._plan_period = 1
         self.cycle = 0
         self._started = False
 
@@ -190,6 +202,10 @@ class FlexRayBus:
         controller = FlexRayController(self, node)
         self.controllers[node] = controller
         return controller
+
+    def _update_receivers(self) -> None:
+        self._receivers = [c for c in self.controllers.values()
+                           if c._rx_callbacks]
 
     def assign_slot(self, assignment: StaticSlotAssignment) -> None:
         """Install a static-slot ownership; slots are exclusive per
@@ -207,6 +223,8 @@ class FlexRayBus:
                 f"unknown node {assignment.node!r} for slot "
                 f"{assignment.slot}")
         self._slot_table[assignment.slot] = assignment
+        self._slot_plans = {}
+        self._plan_period = max(self._plan_period, assignment.repetition)
 
     def start(self) -> None:
         """Begin cycle 0 at the current simulation time."""
@@ -216,21 +234,29 @@ class FlexRayBus:
         self._cycle_start(self.sim.now)
 
     # ------------------------------------------------------------------
+    def _slot_plan(self, cycle: int) -> list[tuple[int, Callable]]:
+        """The static slots that transmit in ``cycle``, in slot order,
+        each with its slot-end callback."""
+        phase = cycle % self._plan_period
+        plan = self._slot_plans.get(phase)
+        if plan is None:
+            plan = self._slot_plans[phase] = [
+                (slot, partial(self._static_slot_end, assignment))
+                for slot, assignment in sorted(self._slot_table.items())
+                if assignment.active_in_cycle(phase)]
+        return plan
+
     def _cycle_start(self, t0: int) -> None:
         self.trace.log(t0, "flexray.cycle", self.name, cycle=self.cycle)
-        for slot in range(1, self.config.n_static_slots + 1):
-            slot_end = t0 + slot * self.config.slot_length
-            assignment = self._slot_table.get(slot)
-            if assignment is not None and assignment.active_in_cycle(
-                    self.cycle % CYCLE_COUNT_MAX):
-                self.sim.schedule_at(
-                    slot_end,
-                    lambda a=assignment: self._static_slot_end(a))
-        dyn_start = t0 + self.config.static_segment_length
-        if self.config.n_minislots > 0:
-            self.sim.schedule_at(dyn_start, self._run_dynamic_segment)
-        next_cycle = t0 + self.config.cycle_length
-        self.sim.schedule_at(next_cycle, lambda: self._advance_cycle())
+        config = self.config
+        schedule_at = self.sim.schedule_at
+        slot_length = config.slot_length
+        for slot, slot_end in self._slot_plan(self.cycle):
+            schedule_at(t0 + slot * slot_length, slot_end)
+        if config.n_minislots > 0:
+            schedule_at(t0 + config.static_segment_length,
+                        self._run_dynamic_segment)
+        schedule_at(t0 + config.cycle_length, self._advance_cycle)
 
     def _advance_cycle(self) -> None:
         self.cycle += 1
@@ -257,18 +283,18 @@ class FlexRayBus:
         self.trace.log(now, "flexray.rx", assignment.frame_name,
                        node=assignment.node, slot=assignment.slot,
                        latency=msg.latency)
-        for node, peer in self.controllers.items():
+        for peer in self._receivers:
             if peer is not controller:
                 peer._deliver(assignment.frame_name, msg, assignment.slot)
 
     def _run_dynamic_segment(self) -> None:
         """Arbitrate the whole dynamic segment at its start.
 
-        Minislot counting is evaluated eagerly: frame IDs are visited in
-        ascending order; each queued frame consumes ``ceil(tx_time /
-        minislot)`` minislots if they fit, otherwise it stays queued for the
-        next cycle (its minislots are *not* consumed — matching the
-        protocol's per-ID slot counting).
+        Minislot counting is evaluated eagerly: queued frames are visited
+        in ascending (frame ID, enqueue order); each consumes ``ceil(tx_time
+        / minislot)`` minislots.  The first frame that does not fit in the
+        minislots left ends the segment: it and every frame after it stay
+        queued for the next cycle, and their minislots are *not* consumed.
         """
         t0 = self.sim.now
         tbit = bit_time(self.config.bitrate_bps)
@@ -282,9 +308,11 @@ class FlexRayBus:
             frame_ns = (spec.size_bytes * 8 + 80) * tbit
             need = max(1, math.ceil(frame_ns / self.config.minislot_length))
             if used + need > self.config.n_minislots:
-                # This and (per ID order) later frames wait; continue
-                # scanning — a smaller later frame may still not fit since
-                # minislot counting is strictly ID-ordered.
+                # Stop at the first frame that does not fit: it and every
+                # later frame in ID order wait for the next cycle, even a
+                # smaller one that would fit.  The dynamic-segment bound
+                # in repro.analysis.flexray_rta assumes the same
+                # ID-ordered stop: all lower-ID frames go first.
                 break
             start = t0 + used * self.config.minislot_length
             end = start + need * self.config.minislot_length
@@ -307,7 +335,7 @@ class FlexRayBus:
         obs.count("flexray.dynamic_tx")
         self.trace.log(now, "flexray.rx_dynamic", spec.name, node=msg.sender,
                        frame_id=spec.frame_id, latency=msg.latency)
-        for node, peer in self.controllers.items():
+        for peer in self._receivers:
             if peer is not controller:
                 peer._deliver(spec.name, msg, None)
 

@@ -16,7 +16,7 @@ from typing import Any, Optional
 _msg_seq = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One transmission: payload plus lifecycle timestamps (ns).
 
@@ -32,7 +32,7 @@ class Message:
     enqueue_time: Optional[int] = None
     tx_start: Optional[int] = None
     rx_time: Optional[int] = None
-    seq: int = field(default_factory=lambda: next(_msg_seq))
+    seq: int = field(default_factory=_msg_seq.__next__)
 
     @property
     def queueing_delay(self) -> Optional[int]:

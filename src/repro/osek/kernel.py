@@ -29,6 +29,9 @@ from repro.sim.trace import Trace
 #: and wake-ups so one decision sees the complete picture.
 _TIMER_PRIORITY = 90
 _DISPATCH_PRIORITY = 100
+#: What ``next`` returns for a finished task body; a default for ``next``
+#: spares the StopIteration a ``send`` raises at every job's end.
+_BODY_DONE = object()
 
 
 class EcuKernel:
@@ -109,14 +112,15 @@ class EcuKernel:
         task.jobs_activated += 1
         self._ready.append(job)
         self.trace.log(now, "task.activate", task.name, job=job.seq)
-        if job.absolute_deadline is not None:
-            self.sim.schedule_at(job.absolute_deadline,
+        deadline = job.absolute_deadline
+        if deadline is not None:
+            self.sim.schedule_at(deadline,
                                  lambda: self._deadline_check(job))
         self.request_dispatch()
         return job
 
     def _deadline_check(self, job: Job) -> None:
-        if job.state in (JobState.DONE,) or getattr(job, "_miss_logged", False):
+        if job.state is JobState.DONE or job._miss_logged:
             return
         job._miss_logged = True
         self.trace.log(self.sim.now, "task.deadline_miss", job.name,
@@ -159,18 +163,26 @@ class EcuKernel:
         self._checkpoint(now)
         if self._running is not None:
             self._progress(self._running, now)
+        ready = self._ready
+        select = self.scheduler.select
         while True:
-            runnable = list(self._ready)
-            if self._running is not None:
-                runnable.append(self._running)
-            pick = self.scheduler.select(runnable, self._running, now)
-            if pick is self._running:
-                break
-            if self._running is not None:
+            # The scheduler sees the ready jobs plus the running one, in
+            # that order, in the ready list itself: no copy per decision.
+            running = self._running
+            if running is None:
+                pick = select(ready, None, now)
+            else:
+                ready.append(running)
+                try:
+                    pick = select(ready, running, now)
+                finally:
+                    ready.pop()
+                if pick is running:
+                    break
                 self._preempt(now)
             if pick is None:
                 break
-            self._ready.remove(pick)
+            ready.remove(pick)
             status = self._advance(pick, now)
             if status == "run":
                 self._start_segment(pick, now)
@@ -197,9 +209,8 @@ class EcuKernel:
                 if self._budget_exhausted(job):
                     self._kill(job, now)
                     return "killed"
-                try:
-                    req = job._body.send(None)
-                except StopIteration:
+                req = next(job._body, _BODY_DONE)
+                if req is _BODY_DONE:
                     self._complete(job, now)
                     return "done"
                 job._current = req
@@ -307,16 +318,16 @@ class EcuKernel:
         task.jobs_completed += 1
         if job in task.pending_jobs:
             task.pending_jobs.remove(job)
-        for resource in list(job.held_resources):
-            self.trace.log(now, "task.resource_leak", job.name,
-                           resource=resource.name)
-            resource.release(job)
+        if job.held_resources:
+            for resource in list(job.held_resources):
+                self.trace.log(now, "task.resource_leak", job.name,
+                               resource=resource.name)
+                resource.release(job)
         response = now - job.activation_time
         self.trace.log(now, "task.complete", job.name, job=job.seq,
                        response=response)
         deadline = job.absolute_deadline
-        if (deadline is not None and now > deadline
-                and not getattr(job, "_miss_logged", False)):
+        if deadline is not None and now > deadline and not job._miss_logged:
             job._miss_logged = True
             self.trace.log(now, "task.deadline_miss", job.name, job=job.seq,
                            lateness=now - deadline)
@@ -338,7 +349,7 @@ class EcuKernel:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        candidates = []
+        wake = None
         job = self._running
         if job is not None:
             segment = job._remaining
@@ -353,13 +364,14 @@ class EcuKernel:
                 raise SimulationError(
                     f"{self.name}: scheduler selected {job.name} for a "
                     f"zero-length segment at t={now}")
-            candidates.append(now + segment)
+            wake = now + segment
         boundary = self.scheduler.next_dispatch_time(now, bool(self._ready))
-        if boundary is not None and boundary > now:
-            candidates.append(boundary)
-        if candidates:
+        if boundary is not None and boundary > now \
+                and (wake is None or boundary < wake):
+            wake = boundary
+        if wake is not None:
             self._timer = self.sim.schedule_at(
-                min(candidates), self._dispatch, priority=_TIMER_PRIORITY)
+                wake, self._dispatch, priority=_TIMER_PRIORITY)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -32,7 +32,11 @@ class Scheduler:
 
     def select(self, runnable: list[Job], running: Optional[Job],
                now: int) -> Optional[Job]:
-        """Job that should occupy the CPU at ``now`` (or None to idle)."""
+        """Job that should occupy the CPU at ``now`` (or None to idle).
+
+        ``runnable`` is the kernel's own ready list with the running job
+        (if any) appended for the call: read it, but neither change it
+        nor keep it."""
         raise NotImplementedError
 
     def max_segment(self, job: Job, now: int) -> Optional[int]:
@@ -68,6 +72,8 @@ class FixedPriorityScheduler(Scheduler):
         """Highest effective priority wins; FIFO among equals."""
         if not runnable:
             return None
+        if len(runnable) == 1:
+            return runnable[0]
         if not self.preemptive and running is not None and running in runnable:
             return running
         return min(runnable, key=_fifo_key)

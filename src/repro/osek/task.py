@@ -208,6 +208,8 @@ class Job:
         self._current: Optional[Execute] = None
         self._remaining = 0
         self.preemptions = 0
+        #: set once a deadline miss of this job has been logged.
+        self._miss_logged = False
 
     @property
     def name(self) -> str:

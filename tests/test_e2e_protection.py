@@ -1,6 +1,8 @@
 """Tests for end-to-end signal protection (repro.com.e2e)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.com import (CanComAdapter, ComStack, E2E_CRC_ERROR, E2E_OK,
                        E2E_REPEATED, E2E_TIMEOUT, E2E_WRONG_SEQUENCE,
@@ -19,6 +21,25 @@ def test_crc8_known_properties():
     assert crc8(b"\x00") != crc8(b"\x01")   # value-sensitive
     assert crc8(b"\x01\x00") != crc8(b"\x00\x01")  # order-sensitive
     assert 0 <= crc8(b"automotive") <= 0xFF
+    assert crc8(b"123456789") == 0x4B       # SAE J1850 check value
+
+
+def _crc8_bitwise(data, start=0xFF):
+    """Reference: the register shifted one bit at a time."""
+    crc = start
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            if crc & 0x80:
+                crc = ((crc << 1) ^ 0x1D) & 0xFF
+            else:
+                crc = (crc << 1) & 0xFF
+    return crc ^ 0xFF
+
+
+@given(st.binary(max_size=16), st.integers(0, 0xFF))
+def test_crc8_table_matches_bitwise_reference(data, start):
+    assert crc8(data, start) == _crc8_bitwise(data, start)
 
 
 def test_profile_validation():

@@ -259,11 +259,26 @@ def _horizon_split(sim):
     return [100, 400]                # t=100 is at the first horizon
 
 
+def _drained_by_run(sim):
+    _horizon_split(sim)
+    return [None]                    # run(): t=100, 200 and 300
+
+
+def _respawn_drained_by_run(sim):
+    _respawn_in_one_instant(sim)
+    return [None]
+
+
 def _counters(sim, horizons):
+    """Counter deltas per ``run_until(horizon)``; ``None`` means
+    ``run()``."""
     deltas = []
     for horizon in horizons:
         with obs.capture() as scope:
-            sim.run_until(horizon)
+            if horizon is None:
+                sim.run()
+            else:
+                sim.run_until(horizon)
         counters = scope.snapshot()["metrics"]["counters"]
         deltas.append((counters.get("sim.events", 0),
                        counters.get("sim.dispatch_batches", 0)))
@@ -274,7 +289,10 @@ def _counters(sim, horizons):
     (_respawn_in_one_instant, [(5, 1)]),
     (_cancelled_instant, [(1, 1)]),
     (_horizon_split, [(2, 1), (3, 2)]),
-], ids=["same-instant-respawn", "cancelled-instant", "horizon-split"])
+    (_drained_by_run, [(5, 3)]),
+    (_respawn_drained_by_run, [(5, 1)]),
+], ids=["same-instant-respawn", "cancelled-instant", "horizon-split",
+        "run-drains", "run-same-instant-respawn"])
 def test_event_and_dispatch_batch_deltas_are_pinned(scenario, expected):
     sim = Simulator()
     assert _counters(sim, scenario(sim)) == expected
@@ -315,6 +333,63 @@ def test_generated_system_traces_and_verdicts_match(monkeypatch, seed):
             hashlib.sha256(body.encode("utf-8")).hexdigest(),
             verdict["records"], len(verdict["checks"])) == SYSTEM_PINS[seed]
     assert all(check["sound"] for check in verdict["checks"])
+
+
+#: seed -> (trace digest, sim.executed, sim.dispatch_batches delta,
+#: trace records, counter tokens and SHA-256 of the full token list of
+#: one fuzz-worker execution).  Large systems run FlexRay static and
+#: dynamic segments, CAN, a TDMA ECU and the E2E chain together.
+LARGE_SYSTEM_PINS = {
+    1: ("20c0d63000151da28500fd70df343f58de1663ff3e370c685a80c60577ea3576",
+        9390, 6210, 7429,
+        ["ctr:can.arbitrations:9", "ctr:can.frames_delivered:9",
+         "ctr:dlt.error:6", "ctr:flexray.dynamic_tx:8",
+         "ctr:flexray.static_tx:11", "ctr:rta.fixpoint_iterations:7",
+         "ctr:rta.tasks_analyzed:6", "ctr:sim.dispatch_batches:13",
+         "ctr:sim.events:14", "ctr:span.verify.system:1",
+         "ctr:verify.checks:7", "ctr:verify.declined:0",
+         "ctr:verify.invariant_violations:0",
+         "ctr:verify.soundness_violations:0", "ctr:verify.systems:1",
+         "ctr:verify.trace_records:13"],
+        "4a1dd3100594ffc373192e0c218a7b9c94b5da991ac76db8e0492dfa925d04b8"),
+    2: ("9a3a123ad40ae3abffd7e8a2d98d48ee982fd654cef0bebef2763d47df674813",
+        8360, 5913, 6150,
+        ["ctr:can.arbitrations:8", "ctr:can.frames_delivered:8",
+         "ctr:dlt.error:6", "ctr:flexray.dynamic_tx:8",
+         "ctr:flexray.static_tx:11", "ctr:rta.fixpoint_iterations:6",
+         "ctr:rta.tasks_analyzed:5", "ctr:sim.dispatch_batches:13",
+         "ctr:sim.events:14", "ctr:span.verify.system:1",
+         "ctr:verify.checks:6", "ctr:verify.declined:0",
+         "ctr:verify.invariant_violations:0",
+         "ctr:verify.soundness_violations:0", "ctr:verify.systems:1",
+         "ctr:verify.trace_records:13"],
+        "4f38e38611e3dba2dcf051abbabcfd0abfbb903419e5f1203165661a4d0156d1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_SYSTEM_PINS))
+def test_large_system_event_sequences_are_pinned(monkeypatch, seed):
+    import repro.osek.task as osek_task
+    from repro.verify.fuzz import _fuzz_worker
+
+    system = generate(seed, "large")
+    assert None not in (system.flexray, system.can, system.tdma,
+                        system.chain)
+    assert system.flexray.dynamic_writers
+    monkeypatch.setattr(osek_task, "_job_seq", itertools.count())
+    built = build_system(system)
+    with obs.capture() as scope:
+        built.sim.run_until(built.horizon)
+    counters = scope.snapshot()["metrics"]["counters"]
+    assert counters["sim.events"] == built.sim.executed
+    result = _fuzz_worker(None, (generate(seed, "large"), None, None), 0)
+    tokens = result["tokens"]
+    assert result["failures"] == []
+    digest = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+    assert (built.trace.digest(), built.sim.executed,
+            counters["sim.dispatch_batches"], len(built.trace),
+            [t for t in tokens if t.startswith("ctr:")],
+            digest) == LARGE_SYSTEM_PINS[seed]
 
 
 def test_trace_digest_is_order_and_content_sensitive():

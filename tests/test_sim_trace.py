@@ -143,6 +143,50 @@ def test_record_get_tolerates_missing_data_keys():
     assert bare.get("response", -1) == -1
 
 
+RECORD_FIELDS = ("time", "category", "subject", "data")
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS + ("extra",))
+def test_record_fields_cannot_be_assigned(field):
+    record = Record(5, "task.activate", "T1", {"job": 3})
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert record == Record(5, "task.activate", "T1", {"job": 3})
+
+
+def test_record_equality_compares_all_four_fields():
+    base = (5, "task.activate", "T1", {"job": 3})
+    assert Record(*base) == Record(*base)
+    for position, other in enumerate((6, "task.start", "T2", {"job": 4})):
+        changed = list(base)
+        changed[position] = other
+        assert Record(*base) != Record(*changed), RECORD_FIELDS[position]
+    tr = Trace()
+    tr.log(5, "task.activate", "T1", job=3)
+    assert list(tr) == [Record(*base)]
+
+
+def test_record_get_tolerates_missing_keys_with_default_data():
+    record = Record(1, "task.complete", "T")
+    assert record.data == {}
+    assert record.get("response") is None
+    assert record.get("response", -1) == -1
+    assert Record(1, "x", "s", {"k": 0}).get("k", -1) == 0
+
+
+def test_record_repr_names_every_field():
+    assert repr(Record(5, "task.activate", "T1", {"job": 3})) == (
+        "Record(time=5, category='task.activate', subject='T1', "
+        "data={'job': 3})")
+
+
+def test_record_default_data_is_not_shared():
+    first, second = Record(1, "a", "s"), Record(2, "a", "s")
+    first.data["key"] = 1
+    assert second.data == {}
+    assert first.data is not second.data
+
+
 def test_data_values_skips_records_without_the_key():
     tr = Trace()
     tr.log(1, "task.complete", "T", response=7)
