@@ -1,4 +1,4 @@
-"""E21 — Observation cost of the differential verdict: phase shares.
+"""E21 — Observation cost of the differential verdict.
 
 Claims:
 
@@ -9,29 +9,46 @@ Claims:
 * **Event kinds** (asserted on every run): one more untimed pass over
   the verify batches counts the fired events by callback kind, and the
   counts add up to the traced ``sim.events``.
-* **Trace share** (gated in full mode only): trace queries — every
-  ``Trace.records`` call plus the CAN and FlexRay latency lookups,
-  outermost call only — take less than ``TRACE_SHARE_CEIL`` of item
-  time.  Before the trace kept a (category, subject) index they took
-  more than the simulation itself.
+* **Streaming observation** (gated on every run; the counts are
+  deterministic): the verdict reads no trace record back.  Per verified
+  system, trace queries (every ``Trace.records`` call plus the CAN and
+  FlexRay latency lookups, outermost call only) stay at or below
+  ``QUERIES_PER_SYSTEM_CEIL`` and the records they return at or below
+  ``RETURNED_PER_SYSTEM_CEIL``; both ceilings are 0, so a
+  reintroduced trace read in the oracle fails the gate.  Before the
+  oracle streamed, a large system cost about 63 queries returning
+  about 3,100 records.  The same untimed pass counts the records fed
+  to the invariants (the records logged to every trace an
+  :class:`~repro.verify.invariants.InvariantChecker` was attached to),
+  which must equal the traced ``trace.records_logged``: every logged
+  record still streams past the invariants.
 
 Recorded, never gated (host times depend on the machine): the host
 cost per simulated event (``sim.host_ns_per_event``, simulate self
-time over fired events, traced run) for verify and fuzz, and the fuzz
-batch's phase shares.
+time over fired events, traced run) for verify and fuzz, the phase
+shares of item time, the garbage-collection share of the untraced
+verify run's wall time (``gc.callbacks``) and the records the oracle's
+traces kept per system.  The trace share of item time is no longer a
+gate: it is relative to item time, so it rose whenever simulation got
+faster with unchanged trace code, and with streaming it reads about 0
+by construction.
 
 The layer wrappers are the repo benchmark's own
 (:func:`perfbench.layers.install_layers`), imported rather than
 copied, so the shares here and perfbench's traced per-layer figures
-cannot disagree.  Batch ``k`` of seed ``s`` uses the program seed
-``1000 * s + k``, as perfbench does.  Every run persists wall time,
-per-layer self-time shares, perfbench's traced counts and the digests to
-``BENCH_e21_observe.json`` at the repo root.
+cannot disagree.  perfbench's own ``invariants.records_fed`` reads 0
+now: it counts the trace handed to ``InvariantChecker.run``, which the
+oracle no longer calls.  Batch ``k`` of seed ``s`` uses the program
+seed ``1000 * s + k``, as perfbench does.  Every run persists wall
+time, per-layer self-time shares, perfbench's traced counts, the
+gated counts and the digests to ``BENCH_e21_observe.json`` at the repo
+root.
 
 Run ``PYTHONPATH=src python benchmarks/bench_e21_observe.py [--quick]``.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -50,6 +67,7 @@ from perfbench.metrics import self_times  # noqa: E402
 
 import repro.verify.oracle as oracle  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
+from repro.verify.invariants import InvariantChecker  # noqa: E402
 
 # import_module: the package rebinds ``repro.verify.fuzz`` to the
 # ``fuzz`` function.
@@ -58,7 +76,9 @@ fuzz_module = import_module("repro.verify.fuzz")
 WORKLOAD = "verify-large"
 SEEDS = (1, 7)
 BATCH_SYSTEMS = 8
-TRACE_SHARE_CEIL = 0.10
+#: Trace queries and records they return, per verified system.
+QUERIES_PER_SYSTEM_CEIL = 0
+RETURNED_PER_SYSTEM_CEIL = 0
 PINS_PATH = os.path.join(REPO_ROOT, "perfbench", "pins.json")
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_e21_observe.json")
 #: perfbench per-layer figures recorded alongside the shares.
@@ -112,11 +132,16 @@ def _kind(callback) -> str:
     return name.replace(".<locals>", "")
 
 
-def _event_kinds(batches) -> Counter:
-    """Fired events by kind over the batches: every scheduled callback
-    is wrapped with a counter, so the order and number of events stay
-    those of an unpatched run."""
+def _untimed_counts(batches) -> tuple[Counter, dict, int]:
+    """One untimed pass over the batches: fired events by kind, the
+    records logged to traces with an attached invariant checker (per
+    perfbench seed), and the records the oracle's traces kept
+    (retained or spilled).
+
+    Every scheduled callback is wrapped with a counter, so the order
+    and number of events stay those of an unpatched run."""
     kinds: Counter = Counter()
+    checked, built = [], []
 
     def counted(callback):
         kind = _kind(callback)
@@ -127,6 +152,17 @@ def _event_kinds(batches) -> Counter:
         return fire
 
     schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+    attach, build_system = InvariantChecker.attach, oracle.build_system
+
+    def attached(checker, trace):
+        checked.append(trace)
+        return attach(checker, trace)
+
+    def building(*args, **kwargs):
+        system = build_system(*args, **kwargs)
+        built.append(system.trace)
+        return system
+
     patches = Patches()
     patches.patch(Simulator, "schedule",
                   lambda sim, delay, callback, priority=0: schedule(
@@ -134,11 +170,42 @@ def _event_kinds(batches) -> Counter:
     patches.patch(Simulator, "schedule_at",
                   lambda sim, at, callback, priority=0: schedule_at(
                       sim, at, counted(callback), priority))
+    patches.patch(InvariantChecker, "attach", attached)
+    patches.patch(oracle, "build_system", building)
+    fed: Counter = Counter()
     try:
-        _run(batches)
+        for seed, index in batches:
+            _run([(seed, index)])
+            fed[seed] += sum(trace.logged for trace in checked)
+            checked.clear()
     finally:
         patches.unpatch()
-    return kinds
+    kept = sum(len(trace) + trace.spilled for trace in built)
+    return kinds, dict(fed), kept
+
+
+def _gc_timed(run):
+    """``run()``'s result plus the garbage collector's time, passes and
+    collected objects during it (``gc.callbacks``)."""
+    spent = {"collect_s": 0.0, "passes": 0, "gen2_passes": 0,
+             "collected": 0}
+    started = []
+
+    def callback(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+            return
+        spent["collect_s"] += time.perf_counter() - started.pop()
+        spent["passes"] += 1
+        spent["gen2_passes"] += info["generation"] == 2
+        spent["collected"] += info["collected"]
+
+    gc.callbacks.append(callback)
+    try:
+        result = run()
+    finally:
+        gc.callbacks.remove(callback)
+    return result, spent
 
 
 def _shares(tracer: Tracer) -> tuple[float, dict]:
@@ -160,7 +227,7 @@ def run(quick: bool = False) -> list[dict]:
     pinned = pins[WORKLOAD]["digests"]
     expected = [pinned[str(seed)][index] for seed, index in batches]
 
-    digests, wall = _run(batches)
+    (digests, wall), collection = _gc_timed(lambda: _run(batches))
     assert digests == expected, "report digests differ from perfbench pins"
 
     tracer = Tracer()
@@ -173,9 +240,13 @@ def run(quick: bool = False) -> list[dict]:
     item_s, shares = _shares(tracer)
     layer = tracer.layer_metrics()
 
-    kinds = _event_kinds(batches)
+    kinds, fed_by_seed, kept = _untimed_counts(batches)
+    fed = sum(fed_by_seed.values())
     assert sum(kinds.values()) == layer["sim.events"], (
         "events by kind do not add up to the traced sim.events")
+    assert fed == layer["trace.records_logged"], (
+        f"{fed} records reached the invariants of "
+        f"{layer['trace.records_logged']} logged")
 
     fuzz_seed, fuzz_index = FUZZ_BATCH
     fuzz_pinned = pins[FUZZ_WORKLOAD]["digests"][str(fuzz_seed)][fuzz_index]
@@ -194,7 +265,10 @@ def run(quick: bool = False) -> list[dict]:
     fuzz_layer = fuzz_tracer.layer_metrics()
 
     systems = len(batches) * BATCH_SYSTEMS
-    trace_share = shares.get("trace", 0.0)
+    queries = layer["trace.queries"] / systems
+    returned = layer["trace.records_returned"] / systems
+    streaming_ok = (queries <= QUERIES_PER_SYSTEM_CEIL
+                    and returned <= RETURNED_PER_SYSTEM_CEIL)
     trajectory = {
         "bench": "e21_observe",
         "quick": quick,
@@ -206,6 +280,18 @@ def run(quick: bool = False) -> list[dict]:
                  "traced_item_s": round(item_s, 4)},
         "shares": shares,
         "traced": {name: round(layer[name], 3) for name in TRACED},
+        "observation": {
+            "queries_per_system": queries,
+            "records_returned_per_system": returned,
+            "invariants_records_fed": {str(seed): count for seed, count
+                                       in sorted(fed_by_seed.items())},
+            "records_kept_per_system": kept / systems,
+        },
+        "gc": {"collect_s": round(collection["collect_s"], 4),
+               "share": round(collection["collect_s"] / wall, 4),
+               "passes": collection["passes"],
+               "gen2_passes": collection["gen2_passes"],
+               "collected": collection["collected"]},
         "events_by_kind": dict(kinds.most_common()),
         "digests": {f"{s}:{i}": d for (s, i), d in zip(batches, digests)},
         "fuzz": {
@@ -221,11 +307,13 @@ def run(quick: bool = False) -> list[dict]:
                        for name in TRACED},
         },
         "gates": {
-            "trace_share_ceil": TRACE_SHARE_CEIL,
-            "enforced": not quick,
+            "queries_per_system_ceil": QUERIES_PER_SYSTEM_CEIL,
+            "records_returned_per_system_ceil": RETURNED_PER_SYSTEM_CEIL,
+            "enforced": True,
             "digests_ok": True,
             "event_kinds_ok": True,
-            "trace_share_ok": trace_share < TRACE_SHARE_CEIL,
+            "records_fed_ok": True,
+            "streaming_ok": streaming_ok,
         },
     }
     with open(TRAJECTORY_PATH, "w", encoding="utf-8") as handle:
@@ -237,9 +325,19 @@ def run(quick: bool = False) -> list[dict]:
                       f"identical, traced too"},
             {"row": "untraced wall",
              "value": f"{wall:.2f} s ({systems / wall:.2f} systems/s)"},
-            {"row": "trace queries",
-             "value": (f"{layer['trace.queries']:.0f} at "
-                       f"{layer['trace.us_per_query']:.0f} us each")},
+            {"row": "trace queries per system",
+             "value": (f"{queries:g} (ceiling "
+                       f"{QUERIES_PER_SYSTEM_CEIL}), returning "
+                       f"{returned:g} records (ceiling "
+                       f"{RETURNED_PER_SYSTEM_CEIL})")},
+            {"row": "records fed to invariants",
+             "value": f"{fed} (= traced trace.records_logged)"},
+            {"row": "records kept per system",
+             "value": f"{kept / systems:g}"},
+            {"row": "gc share of untraced wall",
+             "value": (f"{collection['collect_s'] / wall:.1%} "
+                       f"({collection['passes']} passes, "
+                       f"{collection['gen2_passes']} gen-2)")},
             {"row": "sim host ns/event (traced)",
              "value": f"{layer['sim.host_ns_per_event']:.0f} over "
                       f"{layer['sim.events']:.0f} events"}]
@@ -258,21 +356,22 @@ def run(quick: bool = False) -> list[dict]:
                                        key=lambda kv: -kv[1])]
     rows += [{"row": "trajectory",
               "value": os.path.basename(TRAJECTORY_PATH)},
-             {"row": "_quick", "value": str(quick)},
-             {"row": "_trace_share", "value": str(trace_share)}]
+             {"row": "_queries", "value": str(queries)},
+             {"row": "_returned", "value": str(returned)}]
     return rows
 
 
 def check(rows: list[dict]) -> None:
     by_row = {row["row"]: row["value"] for row in rows}
-    # Digests already asserted inside run().  The share gate applies to
-    # full runs only.
-    if by_row["_quick"] == "True":
-        return
-    trace_share = float(by_row["_trace_share"])
-    assert trace_share < TRACE_SHARE_CEIL, (
-        f"trace queries take {trace_share:.1%} of item time, at or "
-        f"above the {TRACE_SHARE_CEIL:.0%} ceiling")
+    # Digests, event kinds and records fed are asserted inside run().
+    queries = float(by_row["_queries"])
+    returned = float(by_row["_returned"])
+    assert queries <= QUERIES_PER_SYSTEM_CEIL, (
+        f"the oracle made {queries:g} trace queries per system, above "
+        f"the ceiling of {QUERIES_PER_SYSTEM_CEIL}")
+    assert returned <= RETURNED_PER_SYSTEM_CEIL, (
+        f"trace queries returned {returned:g} records per system, "
+        f"above the ceiling of {RETURNED_PER_SYSTEM_CEIL}")
 
 
 TITLE = (f"E21: observation cost of the differential verdict "
@@ -288,8 +387,8 @@ def bench_e21_observe(benchmark):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="one batch per seed, digest checks only "
-                             "(shares measured and recorded, never gated)")
+                        help="one batch per seed (every gate still "
+                             "applies; shares recorded, never gated)")
     options = parser.parse_args()
     table_rows = run(quick=options.quick)
     check(table_rows)

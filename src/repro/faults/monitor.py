@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.errors import FaultContainmentViolation
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, covered
 
 #: Trace categories that indicate damage to the subject.
 DAMAGE_CATEGORIES = (
@@ -36,17 +36,12 @@ def containment_violations(trace: Trace, region: Iterable[str],
     region of ``{"N2"}`` also owns ``"N2.state"``.
     """
     region = set(region)
-
-    def in_region(subject: str) -> bool:
-        return any(subject == r or subject.startswith(r + ".")
-                   for r in region)
-
     violations = []
     for category in categories:
         for record in trace.records(category):
             if record.time < since:
                 continue
-            if not in_region(record.subject):
+            if not covered(record.subject, region):
                 violations.append(record)
     return violations
 

@@ -355,7 +355,7 @@ def attach_world(world, node: str = "MEAS:world") -> MeasurementService:
     }
     trace = getattr(world, "trace", None)
     if trace is not None:
-        accessors["trace.records"] = lambda: len(trace) + trace.spilled
+        accessors["trace.records"] = lambda: trace.logged
     receiver = getattr(world, "receiver", None)
     if receiver is not None:
         accessors["e2e.errors"] = lambda: receiver.error_count

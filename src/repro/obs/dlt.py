@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.trace import covered
+
 # DLT severity levels, most severe first.
 FATAL = "fatal"
 ERROR = "error"
@@ -50,6 +52,12 @@ TRACE_SEVERITY = (
     ("recovery", WARN),
     ("mode", INFO),
 )
+
+#: Trace categories (exact or dotted prefix) :meth:`DltChannel.harvest_trace`
+#: converts: the BSW lifecycle and E2E families whole, plus the two
+#: detector categories of the task and COM families.
+HARVEST_CATEGORIES = ("dem", "wdg", "recovery", "mode", "e2e",
+                      "task.budget_overrun", "com.timeout")
 
 
 @dataclass(frozen=True)
@@ -103,18 +111,14 @@ class DltChannel:
         DLT records (post-hoc ingestion); returns the count added.
 
         ``trace`` is any iterable of :class:`~repro.sim.trace.Record`
-        objects — typically a :class:`~repro.sim.trace.Trace`.
+        objects — a :class:`~repro.sim.trace.Trace`, or the records a
+        subscription to :data:`HARVEST_CATEGORIES` buffered.
         """
         added = 0
         for rec in trace:
+            if not covered(rec.category, HARVEST_CATEGORIES):
+                continue
             prefix = rec.category.split(".", 1)[0]
-            if prefix not in ("dem", "wdg", "recovery", "mode", "e2e",
-                              "com", "task"):
-                continue
-            if prefix == "task" and rec.category != "task.budget_overrun":
-                continue
-            if prefix == "com" and rec.category != "com.timeout":
-                continue
             self.log(rec.time, severity_for_category(rec.category), node,
                      prefix.upper(), rec.subject, rec.category, **rec.data)
             added += 1

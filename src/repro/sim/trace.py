@@ -13,7 +13,7 @@ import hashlib
 import json
 from collections import namedtuple
 from itertools import chain
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -53,12 +53,51 @@ class Record(namedtuple("_RecordFields", ("time", "category", "subject",
         return self[3].get(key, default)
 
 
+class Subscribers:
+    """Callbacks subscribed to record categories.
+
+    Each subscription names its categories by the dotted-prefix rule of
+    :meth:`Trace.records` (``None`` means every category).  The
+    callbacks one exact category reaches are resolved once, in
+    subscription order, and cached until the next :meth:`add`.  A
+    :class:`Trace` dispatches its subscribers through this class at
+    :meth:`Trace.log` time, and :meth:`feed` replays already-recorded
+    records through the same dispatch.
+    """
+
+    def __init__(self):
+        self._subscriptions: list[tuple[Optional[tuple[str, ...]],
+                                        Callable[[Record], Any]]] = []
+        self._dispatch: dict[str, tuple[Callable[[Record], Any], ...]] = {}
+
+    def add(self, categories: Optional[Iterable[str]],
+            callback: Callable[[Record], Any]) -> None:
+        self._subscriptions.append((_categories(categories), callback))
+        self._dispatch = {}
+
+    def callbacks(self, category: str) -> tuple[Callable[[Record], Any], ...]:
+        """The callbacks subscribed to ``category``, in subscription
+        order."""
+        found = self._dispatch.get(category)
+        if found is None:
+            found = self._dispatch[category] = tuple(
+                callback for wanted, callback in self._subscriptions
+                if wanted is None or covered(category, wanted))
+        return found
+
+    def feed(self, records: Iterable[Record]) -> None:
+        """Hand each record, in order, to the callbacks of its category."""
+        callbacks = self.callbacks
+        for record in records:
+            for callback in callbacks(record[1]):
+                callback(record)
+
+
 class Trace:
     """Append-only record store with simple query helpers.
 
     By default the trace grows without bound — every record of a run is
-    queryable, which is what the verification oracle and the invariants
-    need.  Long soak simulations can instead cap memory with
+    queryable.  Long soak simulations can instead cap memory with
     ``max_records``: when the trace exceeds the cap, the oldest quarter
     (plus any excess) is evicted, optionally handed to a ``spill``
     target first.  The target is either a plain callable taking the
@@ -67,8 +106,22 @@ class Trace:
     :class:`repro.meas.mtf.MtfWriter`.  Queries then see only the
     retained tail; :attr:`spilled` counts what was evicted.
     :meth:`close` spills the retained tail too, so end-of-run records
-    are never silently dropped.  With both parameters at their
-    defaults the behaviour is exactly the historical unbounded one.
+    are never silently dropped, and any :meth:`log` after it raises.
+    With every parameter at its default the behaviour is exactly the
+    historical unbounded one.
+
+    Streaming: a consumer that needs only maxima, counts or one pass in
+    log order need not keep records at all.  :meth:`subscribe` hands
+    each record of the subscribed categories to a callback inside
+    :meth:`log`, in log order.  ``keep`` names the categories the trace
+    retains (dotted-prefix rule; the default ``None`` keeps every
+    category, ``()`` keeps none); ``max_records`` and ``spill`` apply to
+    the kept records only.  Queries answer from kept records alone, so
+    a query whose category is not wholly kept raises
+    :class:`ConfigurationError` instead of returning a silently empty
+    or partial list; :meth:`keeps` tells which queries are answerable.
+    :attr:`logged` counts every record accepted by :meth:`log`, kept or
+    not.
 
     Queries with a category answer from an index rather than a scan.
     The index maps each exact category to the positions of its records,
@@ -83,15 +136,24 @@ class Trace:
     tail.  Only a query without a category still scans every record.
 
     Cost model of :meth:`log`: every traced simulation event pays it,
-    so it is the one write path and does the least it can — a
-    time-order check, one :class:`Record` built straight from the
-    call's keyword dict, and one append.  The record and its ``data``
-    dict are the whole memory cost of a record; indexing is paid later,
-    once, by the first query.
+    so it is the one write path and does the least it can.  Every call
+    checks time order, counts itself in :attr:`logged` and looks its
+    category up in a route cache, resolved once per exact category:
+    retention is the route's first step when the category is kept, and
+    the subscribers follow.  A record neither kept nor subscribed to has
+    an empty route and returns there, before any :class:`Record` is
+    built.  Otherwise one record is built straight from the call's
+    keyword dict and handed to each step of its route.  A kept
+    record and its ``data`` dict are the whole memory cost of a record,
+    and a kept record is GC-tracked (it holds a dict) for as long as
+    the trace lives; indexing is paid later, once, by the first query.
+    A trace with ``keep=()`` therefore holds no records, whatever its
+    run length, and its subscribers pay only for the categories they
+    name.
     """
 
     def __init__(self, max_records: Optional[int] = None,
-                 spill=None):
+                 spill=None, keep: Optional[Iterable[str]] = None):
         if max_records is not None and max_records < 4:
             raise ConfigurationError(
                 f"max_records must be >= 4, got {max_records}")
@@ -99,43 +161,98 @@ class Trace:
         self._max_records = max_records
         self._spill_target = spill
         self._spill = as_spill_sink(spill)
+        #: categories retained (None: every category).
+        self.keep: Optional[tuple[str, ...]] = _categories(keep)
         #: number of records evicted by the bound (0 in unbounded mode).
         self.spilled = 0
+        #: number of records accepted by :meth:`log`, kept or not
+        #: (:meth:`clear` does not reset it, as it does not reset
+        #: :attr:`spilled`).
+        self.logged = 0
         self._closed = False
         self._last_time: Optional[int] = None
+        self._subscribers = Subscribers()
+        #: category -> the steps a record of it goes through in
+        #: :meth:`log` (retention, then subscribers), resolved lazily.
+        self._routes: dict[str, tuple] = {}
         #: category -> (positions, {subject: positions}), built lazily
         #: over ``self._records[:self._indexed]``.
         self._index: dict[str, tuple[list[int], dict[str, list[int]]]] = {}
         self._indexed = 0
 
+    def subscribe(self, categories: Optional[Iterable[str]],
+                  callback: Callable[[Record], Any]) -> None:
+        """Call ``callback(record)`` inside :meth:`log` for every record
+        whose category matches one of ``categories`` (dotted-prefix
+        rule; ``None`` means every category).  Subscribers of one
+        category are called in subscription order; a record logged
+        before the subscription is not replayed."""
+        self._subscribers.add(categories, callback)
+        self._routes = {}
+
+    def keeps(self, category: Optional[str]) -> bool:
+        """True when a query for ``category`` (``None``: every record)
+        can answer: every category it matches is kept."""
+        if self.keep is None:
+            return True
+        return category is not None and covered(category, self.keep)
+
+    def _route(self, category: str) -> tuple:
+        """Resolve and cache what :meth:`log` hands a ``category`` record
+        to: the retention step first when the category is kept, then
+        the subscribers."""
+        if self._closed:
+            raise SimulationError(
+                f"trace record {category} logged after close()")
+        retain = ()
+        if self.keeps(category):
+            retain = ((self._records.append,) if self._max_records is None
+                      else (self._retain,))
+        route = self._routes[category] = (
+            retain + self._subscribers.callbacks(category))
+        return route
+
     def log(self, time: int, category: str, subject: str, **data: Any) -> None:
-        """Append one record.
+        """Record one occurrence.
 
         ``time`` must not be earlier than the time of the previous record
         logged since construction or the last :meth:`clear`; an
         out-of-order record raises :class:`SimulationError`, because
-        every query assumes the list is time-ordered."""
+        every query and subscriber assumes time order.  So does a record
+        logged after :meth:`close`, which could otherwise never reach
+        the spill target."""
         last = self._last_time
         if last is not None and time < last:
             raise SimulationError(
                 f"trace record {category} {subject!r} at t={time} is "
                 f"earlier than the previous record at t={last}")
+        try:
+            route = self._routes[category]
+        except KeyError:
+            route = self._route(category)
         self._last_time = time
-        # ``data`` is the fresh keyword dict of this call, so the tuple
-        # is built as is, without Record.__new__'s default handling.
-        self._records.append(_new_tuple(Record,
-                                        (time, category, subject, data)))
-        if self._max_records is not None \
-                and len(self._records) > self._max_records:
-            # Evict down to 3/4 of the cap in one batch, so the
-            # amortised per-log cost stays O(1) instead of shifting the
-            # whole list on every append at the boundary.
-            keep = (self._max_records * 3) // 4
-            evicted = self._records[:len(self._records) - keep]
+        self.logged += 1
+        if route:
+            # ``data`` is the fresh keyword dict of this call, so the
+            # tuple is built as is, without Record.__new__'s default
+            # handling.
+            record = _new_tuple(Record, (time, category, subject, data))
+            for step in route:
+                step(record)
+
+    def _retain(self, record: Record) -> None:
+        """Keep one record under ``max_records``: past the cap, evict
+        down to 3/4 of it in one batch, so the amortised per-log cost
+        stays O(1) instead of shifting the whole list on every append
+        at the boundary."""
+        records = self._records
+        records.append(record)
+        if len(records) > self._max_records:
+            evicted = records[:len(records) - (self._max_records * 3) // 4]
             if self._spill is not None:
                 self._spill(evicted)
             self.spilled += len(evicted)
-            del self._records[:len(evicted)]
+            del records[:len(evicted)]
             self._drop_index()
 
     def __len__(self) -> int:
@@ -151,8 +268,14 @@ class Trace:
         """Filtered view of the trace, in log order.
 
         ``category`` matches exactly or as a dotted prefix (``"task"``
-        matches ``"task.activate"``).
+        matches ``"task.activate"``).  Raises :class:`ConfigurationError`
+        when the trace does not keep every record the query asks for
+        (see :meth:`keeps`).
         """
+        if not self.keeps(category):
+            raise ConfigurationError(
+                f"trace query for {category or 'every category'!r}: the "
+                f"trace keeps only {list(self.keep)}")
         recs = self._records
         if category is None:
             out = [r for r in recs
@@ -257,9 +380,11 @@ class Trace:
         return max(intervals) - min(intervals)
 
     def clear(self) -> None:
-        """Discard all records (and the time-order check's history)."""
+        """Discard all records and the time-order check's history, and
+        reopen a closed trace."""
         self._records.clear()
         self._last_time = None
+        self._closed = False
         self._drop_index()
 
     def close(self) -> None:
@@ -270,9 +395,12 @@ class Trace:
         spilled in order after everything already evicted, the target's
         own ``close()`` is called when it has one (e.g. an MTF writer
         sealing its directory), and the trace is emptied.  Idempotent;
-        a no-op spill-wise when no spill target is configured."""
+        a no-op spill-wise when no spill target is configured.  A
+        :meth:`log` after it raises :class:`SimulationError`."""
         if self._closed:
             return
+        self._closed = True
+        self._routes = {}
         if self._spill is not None and self._records:
             self._spill(list(self._records))
             self.spilled += len(self._records)
@@ -281,7 +409,6 @@ class Trace:
         closer = getattr(self._spill_target, "close", None)
         if callable(closer):
             closer()
-        self._closed = True
 
     # ------------------------------------------------------------------
     # Export
@@ -332,6 +459,23 @@ def category_matches(actual: str, wanted: str) -> bool:
     dotted prefixes (``"task"`` matches ``"task.activate"``, not
     ``"taskx"``)."""
     return actual == wanted or actual.startswith(wanted + ".")
+
+
+def _categories(categories: Optional[Iterable[str]]
+                ) -> Optional[tuple[str, ...]]:
+    """A category tuple from any iterable of categories or one bare
+    category string (``None`` passes through: every category)."""
+    if categories is None:
+        return None
+    if isinstance(categories, str):
+        return (categories,)
+    return tuple(categories)
+
+
+def covered(name: str, wanted: Iterable[str]) -> bool:
+    """True when ``name`` (a category, or a subject named the same
+    dotted way) matches one of ``wanted`` by the dotted-prefix rule."""
+    return any(category_matches(name, prefix) for prefix in wanted)
 
 
 def as_spill_sink(spill) -> Optional[Callable[[list], None]]:

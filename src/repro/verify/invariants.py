@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.sim.trace import Record, Trace, category_matches
+from repro.errors import ConfigurationError
+from repro.sim.trace import Record, Subscribers, Trace
 
 #: Trace categories that begin a CPU occupancy interval for a task.
 _RUN_BEGIN = ("task.start", "task.resume")
@@ -265,34 +266,52 @@ class E2eContainmentInvariant(Invariant):
 
 
 class InvariantChecker:
-    """Runs a set of invariants over a trace and collects violations."""
+    """Runs a set of invariants over a trace and collects violations.
+
+    Two ways to feed it, through one dispatch
+    (:class:`~repro.sim.trace.Subscribers`): :meth:`attach` subscribes
+    the invariants to a live trace, so they see each record as it is
+    logged and the trace need keep none; :meth:`run` replays a trace
+    that kept its records.  Either way :meth:`finish` ends the stream.
+    """
 
     def __init__(self, invariants: list[Invariant]):
         self.invariants = list(invariants)
 
+    def _subscribe(self, subscribe) -> None:
+        for invariant in self.invariants:
+            subscribe(invariant.categories, invariant.observe)
+
+    def attach(self, trace: Trace) -> None:
+        """Subscribe each invariant, in list order, to the categories it
+        declares; call :meth:`finish` after the run."""
+        self._subscribe(trace.subscribe)
+
     def run(self, trace: Trace) -> list[Violation]:
-        """Feed each record, in log order, to the invariants whose
-        ``categories`` cover it; returns all violations sorted by
-        (time, invariant, subject)."""
-        # category -> the interested invariants, in list order
-        dispatch: dict[str, list[Invariant]] = {}
-        for record in trace:
-            observers = dispatch.get(record.category)
-            if observers is None:
-                observers = dispatch[record.category] = [
-                    invariant for invariant in self.invariants
-                    if _observes(invariant, record.category)]
-            for invariant in observers:
-                invariant.observe(record)
+        """Feed each record of a trace, in log order, to the invariants
+        whose ``categories`` cover it, then :meth:`finish`.
+
+        Raises :class:`~repro.errors.ConfigurationError` when the trace
+        did not keep a category an invariant reads."""
+        for invariant in self.invariants:
+            for category in invariant.categories or (None,):
+                if not trace.keeps(category):
+                    raise ConfigurationError(
+                        f"invariant {invariant.name} reads "
+                        f"{category or 'every category'!r}, which the "
+                        f"trace does not keep")
+        feed = Subscribers()
+        self._subscribe(feed.add)
+        feed.feed(trace)
+        return self.finish()
+
+    def finish(self) -> list[Violation]:
+        """End the stream: run each invariant's :meth:`Invariant.finish`
+        and return all violations sorted by (time, invariant,
+        subject)."""
         violations: list[Violation] = []
         for invariant in self.invariants:
             invariant.finish()
             violations.extend(invariant.violations)
         return sorted(violations,
                       key=lambda v: (v.time, v.invariant, v.subject))
-
-
-def _observes(invariant: Invariant, category: str) -> bool:
-    wanted = invariant.categories
-    return wanted is None or any(category_matches(category, prefix)
-                                 for prefix in wanted)

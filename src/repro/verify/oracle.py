@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +42,7 @@ from repro.com.signal import SignalSpec
 from repro.errors import AnalysisError
 from repro.network.can import CanBus
 from repro.network.flexray import FlexRayBus
+from repro.obs.dlt import HARVEST_CATEGORIES
 from repro.osek.kernel import EcuKernel
 from repro.osek.resource import OsekResource
 from repro.osek.scheduler import FixedPriorityScheduler
@@ -413,15 +415,19 @@ def default_horizon(system: GeneratedSystem) -> int:
     return 4 * max(periods) if periods else ms(100)
 
 
-def build_system(system: GeneratedSystem) -> BuiltSystem:
+def build_system(system: GeneratedSystem,
+                 trace: Optional[Trace] = None) -> BuiltSystem:
     """Instantiate the generated configuration on the simulation stack.
 
     Missing subsystems (a shrunk counterexample's dropped chain, CAN,
     FlexRay or TDMA plan) are simply not built; everything present is
-    wired exactly as for a full system.
+    wired exactly as for a full system.  Every subsystem logs to
+    ``trace``, by default a fresh :class:`Trace` that keeps every
+    record.
     """
     sim = Simulator()
-    trace = Trace()
+    if trace is None:
+        trace = Trace()
     chain = system.chain
 
     # -- CAN bus + per-ECU COM stacks ----------------------------------
@@ -584,24 +590,97 @@ def make_invariants(system: GeneratedSystem) -> list[Invariant]:
     return invariants
 
 
-def _observations(built: BuiltSystem, layer: str, subject: str) -> list[int]:
-    """Simulated measurements matching one analytic bound."""
-    if layer in ("rta", "tdma"):
-        return built.trace.data_values("task.complete", "response", subject)
-    if layer == "can":
-        return built.can_bus.latencies(subject) if built.can_bus else []
-    if layer in ("flexray_static", "flexray_dynamic"):
-        return (built.flexray_bus.latencies(subject)
-                if built.flexray_bus else [])
+class _Maxima:
+    """Max and count of one ``data`` key per subject, fed one record at
+    a time by a trace subscription.
+
+    Records of other subjects, records without the key and (when
+    ``bus`` is given) records of another bus are skipped, as the batch
+    queries over a kept trace skipped them."""
+
+    __slots__ = ("key", "bus", "stats")
+
+    def __init__(self, key: str, subjects, bus: Optional[str] = None):
+        self.key = key
+        self.bus = bus
+        #: subject -> [max or None, count]
+        self.stats = {subject: [None, 0] for subject in subjects}
+
+    def observe(self, record) -> None:
+        stat = self.stats.get(record.subject)
+        if stat is None:
+            return
+        data = record.data
+        if self.key not in data or (self.bus is not None
+                                    and data.get("bus") != self.bus):
+            return
+        value = data[self.key]
+        if not stat[1] or value > stat[0]:
+            stat[0] = value
+        stat[1] += 1
+
+
+def _observe_bounds(built: BuiltSystem, bounds) -> dict[str, _Maxima]:
+    """Subscribe one max-and-count accumulator per observed quantity of
+    the analytic bounds; returns layer -> accumulator.
+
+    Task response times (the ``rta`` and ``tdma`` layers) come from
+    ``task.complete`` records, CAN latencies from this bus's ``can.rx``
+    records and FlexRay latencies (static and dynamic) from
+    ``flexray.rx`` and ``flexray.rx_dynamic``.  The ``e2e`` layer reads
+    the chain probe instead."""
+    subjects: dict[str, list[str]] = {}
+    for layer, subject, _ in bounds:
+        subjects.setdefault(layer, []).append(subject)
+    trace = built.trace
+    accumulators: dict[str, _Maxima] = {}
+
+    def accumulate(layers, categories, key, bus=None):
+        wanted = [s for layer in layers for s in subjects.get(layer, ())]
+        if not wanted:
+            return
+        maxima = _Maxima(key, wanted, bus)
+        trace.subscribe(categories, maxima.observe)
+        accumulators.update((layer, maxima) for layer in layers)
+
+    accumulate(("rta", "tdma"), ("task.complete",), "response")
+    if built.can_bus is not None:
+        accumulate(("can",), ("can.rx",), "latency", built.can_bus.name)
+    if built.flexray_bus is not None:
+        accumulate(("flexray_static", "flexray_dynamic"),
+                   ("flexray.rx", "flexray.rx_dynamic"), "latency")
+    return accumulators
+
+
+def _observed(built: BuiltSystem, accumulators: dict[str, _Maxima],
+              layer: str, subject: str) -> tuple[Optional[int], int]:
+    """(max observation or None, sample count) matching one bound."""
     if layer == "e2e":
-        return list(built.probe.latencies) if built.probe else []
-    raise AnalysisError(f"unknown layer {layer!r}")
+        latencies = built.probe.latencies if built.probe else []
+        return (max(latencies) if latencies else None), len(latencies)
+    if layer not in LAYERS:
+        raise AnalysisError(f"unknown layer {layer!r}")
+    maxima = accumulators.get(layer)
+    if maxima is None:
+        return None, 0
+    observed, samples = maxima.stats[subject]
+    return observed, samples
+
+
+#: Overload symptoms counted for the fuzzer's feedback signature.
+_SYMPTOMS = ("task.activation_lost", "task.deadline_miss")
 
 
 def verify_system(system: GeneratedSystem,
                   horizon: Optional[int] = None,
                   daq_period: Optional[int] = None) -> SystemVerdict:
     """Run the full differential check for one generated system.
+
+    Observation streams: the simulation's trace keeps no record.
+    Before the run, the oracle subscribes a max-and-count accumulator
+    per analytic bound, counters for the overload symptoms, the
+    invariant checker and (with telemetry on) a buffer of the records
+    DLT harvests; the verdict reads those after the run.
 
     ``daq_period`` (ns, optional) attaches the measurement service and
     runs the default DAQ list alongside the differential run; the
@@ -613,7 +692,21 @@ def verify_system(system: GeneratedSystem,
     with obs.span("verify.system", category="verify", system=system.name,
                   seed=system.seed, size=system.size):
         bounds, declined = analyze_bounds(system)
-        built = build_system(system)
+        trace = Trace(keep=())
+        built = build_system(system, trace)
+        accumulators = _observe_bounds(built, bounds)
+        checker = InvariantChecker(make_invariants(system))
+        checker.attach(trace)
+        symptoms: Counter = Counter()
+
+        def symptom(record):
+            symptoms[record.category] += 1
+
+        trace.subscribe(_SYMPTOMS, symptom)
+        harvested: Optional[list] = None
+        if obs.enabled():
+            harvested = []
+            trace.subscribe(HARVEST_CATEGORIES, harvested.append)
         service = None
         if daq_period is not None:
             from repro.meas.service import MeasurementService, default_daq
@@ -623,14 +716,10 @@ def verify_system(system: GeneratedSystem,
             service.start_daq(default_daq(service.registry, daq_period))
         built.sim.run_until(horizon if horizon is not None
                             else built.horizon)
-        checks = []
-        for layer, subject, bound in bounds:
-            values = _observations(built, layer, subject)
-            checks.append(Check(layer, subject, bound,
-                                max(values) if values else None,
-                                len(values)))
-        violations = InvariantChecker(
-            make_invariants(system)).run(built.trace)
+        checks = [Check(layer, subject, bound,
+                        *_observed(built, accumulators, layer, subject))
+                  for layer, subject, bound in bounds]
+        violations = checker.finish()
         if system.faults:
             # Injected-fault scenarios run in *separate* simulations
             # (the nominal differential run above stays fault-free);
@@ -645,7 +734,7 @@ def verify_system(system: GeneratedSystem,
                 violations.extend(rv.violations())
         verdict = SystemVerdict(system.name, system.seed, system.size,
                                 checks, declined, violations,
-                                len(built.trace))
+                                trace.logged)
         if service is not None:
             service.detach()
             verdict.daq_rows = service.sample_rows()
@@ -662,17 +751,18 @@ def verify_system(system: GeneratedSystem,
         # fuzzer's feedback signature — a mutant that starts shedding
         # activations or missing deadlines reached new behaviour even
         # while every bound still holds.
-        lost = len(built.trace.records("task.activation_lost"))
+        lost = symptoms["task.activation_lost"]
         if lost:
             obs.count("verify.activations_lost", lost)
-        missed = len(built.trace.records("task.deadline_miss"))
+        missed = symptoms["task.deadline_miss"]
         if missed:
             obs.count("verify.deadline_misses", missed)
         for check in verdict.checks:
             if check.tightness is not None:
                 obs.observe("verify.tightness", check.tightness,
                             buckets=obs.RATIO_BUCKETS)
-        obs.harvest_trace(built.trace, system.name)
+        if harvested is not None:
+            obs.harvest_trace(harvested, system.name)
     return verdict
 
 

@@ -49,8 +49,9 @@ from repro.faults.injector import (CanBusErrorAdapter, CanNodeAdapter,
                                    GuardedCanNodeAdapter, TaskAdapter)
 from repro.faults.model import (BABBLING, CORRUPTION, CRASH, DELAY, Fault,
                                 OMISSION)
-from repro.faults.monitor import containment_violations
+from repro.faults.monitor import DAMAGE_CATEGORIES
 from repro.network.guardian import SlotGuardian
+from repro.sim.trace import Trace, covered
 from repro.units import ms
 from repro.verify.generator import FaultScenario, GeneratedSystem
 from repro.verify.invariants import Violation
@@ -63,6 +64,10 @@ DTC_PRODUCER_ALIVE = 0x5B02
 #: (they require both a chain and a CAN bus).
 CHAIN_KINDS = ("e2e-corruption", "e2e-loss", "e2e-delay",
                "can-error-burst", "can-bus-off", "ecu-reset")
+
+#: Trace categories whose records date a recovery after the fault
+#: window closes.
+RECOVERY_CATEGORIES = ("dem.healed", "recovery.deescalate")
 
 #: Upper bound on any scenario window's end (keeps hostile corpus
 #: files from demanding absurdly long simulations).
@@ -177,7 +182,8 @@ class ResilienceWorld:
     """One scenario's universe: the generated system on the simulation
     stack plus the full protection/recovery wiring on its E2E chain
     (mirroring :class:`repro.faults.campaign.ReferenceWorld`, scaled to
-    the chain's period)."""
+    the chain's period).  Its trace keeps no record: what a verdict
+    reads is subscribed to it before the world runs (:class:`_Evidence`)."""
 
     def __init__(self, system: GeneratedSystem):
         from repro.bsw import (ErrorEvent, ErrorManager, ModeMachine,
@@ -186,7 +192,7 @@ class ResilienceWorld:
         from repro.verify.oracle import build_system
 
         self.system = system
-        self.built = build_system(system)
+        self.built = build_system(system, Trace(keep=()))
         self.sim = self.built.sim
         self.trace = self.built.trace
         self.injector = FaultInjector(self.sim, self.trace)
@@ -444,48 +450,80 @@ class ScenarioVerdict:
         }
 
 
-def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
+class _Evidence:
+    """What a verdict reads of one world's run for one scenario,
+    gathered by trace subscriptions while the world runs, so the world
+    keeps no record:
+
+    * the time of the first record at or after the fault onset in each
+      of the plan's detection categories;
+    * the subjects of the damage records (:data:`DAMAGE_CATEGORIES`) at
+      or after the onset that fall outside the containment region;
+    * the time of the last :data:`RECOVERY_CATEGORIES` record at or
+      after the fault window closes.
+    """
+
+    def __init__(self, trace: Trace, scenario: FaultScenario,
+                 plan: _ScenarioPlan):
+        self.onset = scenario.start
+        self.end = scenario.end
+        self.first: dict[str, int] = {}
+        self.escapes: list[str] = []
+        self.healed_at: Optional[int] = None
+        self.region = plan.region
+        for category in plan.categories:
+            trace.subscribe((category,),
+                            functools.partial(self._detect, category))
+        trace.subscribe(DAMAGE_CATEGORIES, self._damage)
+        trace.subscribe(RECOVERY_CATEGORIES, self._heal)
+
+    def _detect(self, category: str, record) -> None:
+        if record.time >= self.onset and category not in self.first:
+            self.first[category] = record.time
+
+    def _damage(self, record) -> None:
+        if record.time >= self.onset and not covered(record.subject,
+                                                      self.region):
+            self.escapes.append(record.subject)
+
+    def _heal(self, record) -> None:
+        if record.time >= self.end:
+            self.healed_at = record.time
+
+
+def _evaluate(world: ResilienceWorld, evidence: _Evidence,
+              baseline: ResilienceWorld, baseline_evidence: _Evidence,
               scenario: FaultScenario,
               plan: _ScenarioPlan) -> ScenarioVerdict:
     verdict = ScenarioVerdict(scenario, horizon=plan.horizon,
                               detection_bound=plan.bound)
     verdict.scenario_categories = plan.categories
-    onset = scenario.start
 
     # --- detected within bound ---------------------------------------
     detection_time = None
     source = None
     for category in plan.categories:
-        for record in world.trace.records(category):
-            if record.time < onset:
-                continue
-            if detection_time is None or record.time < detection_time:
-                detection_time = record.time
-                source = category
-            break  # records are time-ordered per category
+        time = evidence.first.get(category)
+        if time is not None and (detection_time is None
+                                 or time < detection_time):
+            detection_time = time
+            source = category
     verdict.detected = detection_time is not None
     verdict.detection_time = detection_time
     verdict.detection_source = source
     if verdict.detected:
-        verdict.detection_latency = detection_time - onset
+        verdict.detection_latency = detection_time - scenario.start
     # If the fault-free baseline already shows the same evidence the
     # system is overloaded on its own; detection can't be attributed.
-    verdict.detection_waived = any(
-        record.time >= onset
-        for category in plan.categories
-        for record in baseline.trace.records(category))
+    verdict.detection_waived = bool(baseline_evidence.first)
 
     # --- contained ----------------------------------------------------
-    baseline_subjects = {
-        r.subject for r in containment_violations(baseline.trace,
-                                                  plan.region,
-                                                  since=onset)}
-    escapes = [r for r in containment_violations(world.trace, plan.region,
-                                                 since=onset)
-               if r.subject not in baseline_subjects]
+    baseline_subjects = set(baseline_evidence.escapes)
+    escapes = [subject for subject in evidence.escapes
+               if subject not in baseline_subjects]
     verdict.contained = not escapes
     verdict.escaped = len(escapes)
-    verdict.escape_subjects = [r.subject for r in escapes]
+    verdict.escape_subjects = escapes
 
     # --- recovered per the hysteresis policy --------------------------
     if baseline.errors is not None and (
@@ -497,13 +535,10 @@ def _evaluate(world: ResilienceWorld, baseline: ResilienceWorld,
         nominal = world.modes.current == "nominal"
         verdict.recovered = healed and nominal
         if verdict.recovered:
-            candidates = [r.time for r in world.trace.records("dem.healed")
-                          if r.time >= scenario.end]
-            candidates += [r.time for r in
-                           world.trace.records("recovery.deescalate")
-                           if r.time >= scenario.end]
-            candidates += [t for t, mode in world.modes.history
-                           if t >= scenario.end and mode == "nominal"]
+            candidates = [t for t, mode in world.modes.history
+                          if t >= scenario.end and mode == "nominal"]
+            if evidence.healed_at is not None:
+                candidates.append(evidence.healed_at)
             if candidates:
                 verdict.recovery_time = max(candidates)
                 verdict.recovery_latency = (verdict.recovery_time
@@ -520,12 +555,16 @@ def verify_resilience(system: GeneratedSystem) -> list[ScenarioVerdict]:
 
     One fault-free baseline world is run (and cached) per distinct
     scenario horizon for the differential waivers; the nominal
-    differential-oracle simulation is never touched.
+    differential-oracle simulation is never touched.  Worlds keep no
+    trace record: each scenario's evidence, in its world and in its
+    baseline, is subscribed before that world runs.
     """
     verdicts: list[ScenarioVerdict] = []
+    plans = [_plan_scenario(system, scenario) for scenario in system.faults]
     baselines: dict[int, ResilienceWorld] = {}
-    for scenario in system.faults:
-        plan = _plan_scenario(system, scenario)
+    #: scenario index -> its evidence in the baseline of its horizon
+    baseline_evidence: dict[int, _Evidence] = {}
+    for index, (scenario, plan) in enumerate(zip(system.faults, plans)):
         if plan is None:
             verdicts.append(ScenarioVerdict(scenario, supported=False))
             if obs.enabled():
@@ -535,13 +574,22 @@ def verify_resilience(system: GeneratedSystem) -> list[ScenarioVerdict]:
         baseline = baselines.get(plan.horizon)
         if baseline is None:
             baseline = ResilienceWorld(system)
+            # One baseline serves every scenario of its horizon.
+            for other, (peer, peer_plan) in enumerate(
+                    zip(system.faults, plans)):
+                if peer_plan is not None \
+                        and peer_plan.horizon == plan.horizon:
+                    baseline_evidence[other] = _Evidence(
+                        baseline.trace, peer, peer_plan)
             baseline.sim.run_until(plan.horizon)
             baselines[plan.horizon] = baseline
         world = ResilienceWorld(system)
+        evidence = _Evidence(world.trace, scenario, plan)
         adapter, fault = plan.wire(world)
         world.injector.inject(adapter, fault)
         world.sim.run_until(plan.horizon)
-        verdict = _evaluate(world, baseline, scenario, plan)
+        verdict = _evaluate(world, evidence, baseline,
+                            baseline_evidence[index], scenario, plan)
         verdicts.append(verdict)
         if obs.enabled():
             obs.count("resilience.scenarios")

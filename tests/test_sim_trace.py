@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.network.can import CanBus, CanFrameSpec
 from repro.sim import Simulator, Trace, summarize
 from repro.sim.clock import DriftingClock, precision
@@ -366,7 +366,12 @@ def test_index_matches_reference_scan(cap, operations):
     closed = False
     now = n = 0
     for op in operations:
-        if op[0] == "log":
+        if op[0] == "log" and closed:
+            _, category, subject, step = op
+            now += step
+            with pytest.raises(SimulationError):
+                tr.log(now, category, subject, n=n + 1)
+        elif op[0] == "log":
             _, category, subject, step = op
             now += step
             n += 1
@@ -383,7 +388,7 @@ def test_index_matches_reference_scan(cap, operations):
                                                predicate))
         elif op[0] == "clear":
             tr.clear()
-            retained = []
+            retained, closed = [], False
         elif not closed:
             tr.close()
             evicted += retained
@@ -474,3 +479,106 @@ def test_shared_trace_can_latencies_stay_per_bus():
         assert len(own) == (3 if name == "A" else 2)
         assert bus.latencies("F") == [r.data["latency"] for r in own]
         assert bus.records("can.rx", "F") == own
+
+
+# ----------------------------------------------------------------------
+# Close, keep and subscribe
+# ----------------------------------------------------------------------
+def test_log_after_close_raises_instead_of_losing_the_record():
+    got = []
+    tr = Trace(max_records=8, spill=got.extend)
+    for t in range(10):
+        tr.log(t, "cat", "s", n=t)
+    tr.close()
+    with pytest.raises(SimulationError, match="after close"):
+        tr.log(10, "cat", "s", n=10)
+    tr.close()
+    assert [r.data["n"] for r in got] == list(range(10))
+    assert len(tr) == 0 and tr.logged == 10
+    # A second attempt raises too: the refusal is not cached away.
+    with pytest.raises(SimulationError):
+        tr.log(11, "other", "s")
+
+
+def test_query_on_a_category_the_trace_does_not_keep_raises():
+    tr = Trace(keep=("task.complete", "can"))
+    tr.log(0, "task.activate", "T")
+    tr.log(1, "task.complete", "T", response=1)
+    tr.log(2, "can.rx", "F")
+    assert [r.category for r in tr.records("task.complete")] == \
+        ["task.complete"]
+    assert [r.category for r in tr.records("can.rx")] == ["can.rx"]
+    assert tr.keeps("can") and tr.keeps("task.complete")
+    assert not tr.keeps("task") and not tr.keeps(None)
+    for query in ("task", "task.activate", "flexray", None):
+        with pytest.raises(ConfigurationError):
+            tr.records(query)
+    with pytest.raises(ConfigurationError):
+        tr.times("task.activate", "T")
+    with pytest.raises(ConfigurationError):
+        Trace(keep=()).records("task.complete")
+    assert Trace(keep="task").keep == ("task",)
+
+
+def test_subscribers_see_matching_records_in_log_order():
+    tr = Trace(keep=())
+    seen = []
+    tr.subscribe(("task",), lambda r: seen.append(("task", r.time)))
+    tr.subscribe(("task.complete", "can.rx"),
+                 lambda r: seen.append(("done", r.time)))
+    tr.subscribe(None, lambda r: seen.append(("all", r.time)))
+    tr.log(0, "task.activate", "T")
+    tr.log(1, "taskx", "T")
+    tr.log(2, "task.complete", "T")
+    tr.log(3, "can.rx", "F")
+    assert seen == [("task", 0), ("all", 0), ("all", 1),
+                    ("task", 2), ("done", 2), ("all", 2),
+                    ("done", 3), ("all", 3)]
+    # A later subscription reaches records logged after it, even for a
+    # category whose route was already resolved.
+    late = []
+    tr.subscribe(("task.activate",), late.append)
+    tr.log(4, "task.activate", "U")
+    assert [r.subject for r in late] == ["U"]
+    assert len(tr) == 0
+
+
+def test_subscribers_get_the_kept_record_itself():
+    tr = Trace()
+    seen = []
+    tr.subscribe(("cat",), seen.append)
+    tr.log(0, "cat", "s", n=1)
+    assert seen[0] is tr.records("cat")[0]
+    assert seen[0] == Record(0, "cat", "s", {"n": 1})
+
+
+def test_logged_counts_records_kept_or_not():
+    tr = Trace(keep=("task.complete",))
+    for t in range(5):
+        tr.log(t, "task.activate", "T")
+        tr.log(t, "task.complete", "T")
+    tr.log(9, "can.rx", "F")
+    assert tr.logged == 11 and len(tr) == 5
+    # keep=() keeps nothing and builds no record nobody reads.
+    empty = Trace(keep=())
+    empty.log(0, "task.activate", "T")
+    with pytest.raises(SimulationError):
+        empty.log(-1, "task.activate", "T")  # time order still checked
+    assert empty.logged == 1 and len(empty) == 0 and list(empty) == []
+    # clear() discards records but not the count of what was logged.
+    tr.clear()
+    assert tr.logged == 11 and len(tr) == 0
+
+
+def test_max_records_bounds_only_the_kept_records():
+    spilled = []
+    tr = Trace(max_records=8, spill=spilled.extend, keep=("keep",))
+    for t in range(40):
+        tr.log(t, "keep" if t % 4 == 0 else "drop", "s", n=t)
+    # 10 kept records: 8 fit, the ninth evicts down to 6.
+    assert tr.logged == 40
+    assert [r.data["n"] for r in spilled] == [0, 4, 8]
+    assert [r.data["n"] for r in tr] == [12, 16, 20, 24, 28, 32, 36]
+    assert tr.spilled == 3
+    assert [r.data["n"] for r in tr.records("keep")] == \
+        [12, 16, 20, 24, 28, 32, 36]

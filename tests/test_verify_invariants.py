@@ -3,9 +3,11 @@ that provably violate (or satisfy) each property."""
 
 import hashlib
 import json
+import os
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim import Trace
 from repro.units import ms, us
 from repro.verify import (AliveCounterInvariant, E2eContainmentInvariant,
@@ -13,6 +15,7 @@ from repro.verify import (AliveCounterInvariant, E2eContainmentInvariant,
                           NoOverlappingExecution, PriorityCeilingInvariant,
                           TdmaWindowInvariant, build_system, generate,
                           make_invariants)
+from repro.verify.serialize import system_from_dict
 
 ECUS = {"A": "E0", "B": "E0", "C": "E1"}
 
@@ -324,3 +327,70 @@ def test_checker_violations_on_generated_systems_are_pinned(seed):
         built.trace)
     assert (len(nominal), len(stressed),
             _violation_digest(stressed)) == DISPATCH_PINS[seed]
+
+
+# ----------------------------------------------------------------------
+# Streaming (attach) equals batch (run)
+# ----------------------------------------------------------------------
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _corpus_systems():
+    """(system, horizon) of every corpus counterexample."""
+    out = []
+    for name in sorted(os.listdir(CORPUS_DIR)):
+        if name.endswith(".json") and name != "known_issues.json":
+            with open(os.path.join(CORPUS_DIR, name),
+                      encoding="utf-8") as handle:
+                doc = json.load(handle)
+            out.append(pytest.param(system_from_dict(doc["system"]),
+                                    doc["horizon"], id=name))
+    return out
+
+
+def _streamed_and_batch(system, horizon, invariant_set):
+    """Violations of an attached checker on a trace that keeps nothing,
+    and of :meth:`InvariantChecker.run` over a fully kept trace of the
+    same system."""
+    streamed = build_system(system, Trace(keep=()))
+    checker = InvariantChecker(invariant_set(system))
+    checker.attach(streamed.trace)
+    streamed.sim.run_until(horizon)
+    kept = build_system(system)
+    kept.sim.run_until(horizon)
+    batch = InvariantChecker(invariant_set(system)).run(kept.trace)
+    assert len(streamed.trace) == 0
+    assert streamed.trace.logged == kept.trace.logged == len(kept.trace)
+    return checker.finish(), batch
+
+
+STREAM_CASES = (
+    [pytest.param(generate(seed, "small"), None, id=f"small-{seed}")
+     for seed in (0, 3, 11, 17)]
+    + [pytest.param(generate(seed, "large"), None, id=f"large-{seed}")
+       for seed in (1000, 3001)]
+    + _corpus_systems())
+
+
+@pytest.mark.parametrize("invariant_set", [make_invariants,
+                                           _stressed_invariants],
+                         ids=["oracle", "stressed"])
+@pytest.mark.parametrize("system,horizon", STREAM_CASES)
+def test_attached_checker_equals_batch_run(system, horizon, invariant_set):
+    horizon = horizon if horizon is not None else \
+        build_system(system).horizon
+    streamed, batch = _streamed_and_batch(system, horizon, invariant_set)
+    assert streamed == batch
+    if invariant_set is _stressed_invariants:
+        assert batch, "the stressed set must produce violations to compare"
+
+
+def test_run_refuses_a_trace_that_did_not_keep_its_categories():
+    tr = Trace(keep=("task.start",))
+    tr.log(0, "task.start", "A")
+    with pytest.raises(ConfigurationError, match="no-overlap"):
+        check(tr, NoOverlappingExecution(ECUS))
+    with pytest.raises(ConfigurationError):
+        check(tr, Invariant())  # reads every category
+    assert check(Trace(keep=("e2e.ok",)),
+                 AliveCounterInvariant("P", 16)) == []
